@@ -27,7 +27,7 @@
 
 use std::collections::VecDeque;
 
-use bfbp_predictors::history::{mix64, BucketedFolds, GlobalHistory};
+use bfbp_predictors::history::{mix64, RecentPath};
 use bfbp_predictors::loop_pred::LoopPredictor;
 use bfbp_sim::ckpt::{CodecError, Restorable, StateReader, StateWriter};
 use bfbp_sim::obs::{saturation_fraction, Metrics, PredictorIntrospect};
@@ -247,10 +247,9 @@ pub struct BfNeural {
     wb: Vec<i8>,
     wm: Vec<i8>,
     wrs: Vec<i8>,
-    unf_hist: GlobalHistory,
-    unf_addrs: Vec<u64>,
-    addr_head: usize,
-    folds: BucketedFolds,
+    /// The `ht` most recent unfiltered branches (outcomes, addresses,
+    /// bucketed folds).
+    recent: RecentPath,
     deep: DeepHistory,
     now: u64,
     theta: i32,
@@ -292,10 +291,7 @@ impl BfNeural {
             wb: vec![0; wb_len],
             wm: vec![0; (1 << config.log_wm_rows) * config.recent_unfiltered],
             wrs: vec![0; 1 << config.log_wrs],
-            unf_hist: GlobalHistory::new(config.recent_unfiltered),
-            unf_addrs: vec![0; config.recent_unfiltered],
-            addr_head: 0,
-            folds: BucketedFolds::new(),
+            recent: RecentPath::new(config.recent_unfiltered),
             deep: DeepHistory::new(config.history_mode, config.deep_depth),
             now: 0,
             theta: 40,
@@ -332,22 +328,6 @@ impl BfNeural {
         mix64(pc >> 2) & 0x3FFF
     }
 
-    fn unf_addr(&self, age: usize) -> u64 {
-        let h = self.unf_addrs.len();
-        self.unf_addrs[(self.addr_head + h - 1 - age) % h]
-    }
-
-    fn wm_index(&self, pc: u64, age: usize) -> usize {
-        let mut key = (pc >> 2).wrapping_mul(0x9E37_79B9_7F4A_7C15)
-            ^ (self.unf_addr(age) >> 2).wrapping_mul(0xC2B2_AE3D_27D4_EB4F)
-            ^ (age as u64).wrapping_mul(0x1656_67B1_9E37_79F9);
-        if self.config.folded_hist {
-            key ^= self.folds.fold_for(age + 1) << 20;
-        }
-        let row = (mix64(key) & ((1 << self.config.log_wm_rows) - 1)) as usize;
-        row * self.config.recent_unfiltered + age
-    }
-
     /// Quantizes a positional distance with geometrically coarsening
     /// granularity: exact below 64, then 8-branch buckets to 256,
     /// 32-branch buckets to 1024, 128-branch buckets beyond. Close
@@ -375,7 +355,7 @@ impl BfNeural {
             // (§IV-A), capped at 16 bits: enough to separate paths while
             // keeping the index stable against unrelated distant noise.
             let window = (entry.position(self.now) as usize).min(16);
-            key ^= self.folds.fold_for(window) << 20;
+            key ^= self.recent.folds().fold_for(window) << 20;
         }
         (mix64(key) & ((1 << self.config.log_wrs) - 1)) as usize
     }
@@ -394,12 +374,21 @@ impl BfNeural {
         wrs_terms.clear();
         let mut sum = i32::from(self.wb[((pc >> 2) & 0x3FF) as usize]);
         let ht = self.config.recent_unfiltered;
-        for age in 0..ht {
-            let idx = self.wm_index(pc, age);
+        let pc_key = (pc >> 2).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        let row_mask = (1u64 << self.config.log_wm_rows) - 1;
+        let folded = self.config.folded_hist;
+        self.recent.walk(|step| {
+            let mut key = pc_key
+                ^ (step.address >> 2).wrapping_mul(0xC2B2_AE3D_27D4_EB4F)
+                ^ (step.age as u64).wrapping_mul(0x1656_67B1_9E37_79F9);
+            if folded {
+                key ^= step.fold << 20;
+            }
+            let idx = (mix64(key) & row_mask) as usize * ht + step.age;
             wm_indices.push(idx);
             let w = i32::from(self.wm[idx]);
-            sum += if self.unf_hist.bit(age) { w } else { -w };
-        }
+            sum += if step.taken { w } else { -w };
+        });
         let add = |entry: &RsEntry, sum: &mut i32, terms: &mut Vec<(usize, bool)>| {
             let idx = self.wrs_index(pc, entry);
             let w = i32::from(self.wrs[idx]);
@@ -433,8 +422,9 @@ impl BfNeural {
         let dir = if taken { 1 } else { -1 };
         let bidx = ((pc >> 2) & 0x3FF) as usize;
         self.wb[bidx] = (i32::from(self.wb[bidx]) + dir).clamp(-WB_CLAMP, WB_CLAMP) as i8;
-        for (age, &idx) in wm_indices.iter().enumerate() {
-            let x = if self.unf_hist.bit(age) { 1 } else { -1 };
+        let outcomes = self.recent.history().newest(wm_indices.len());
+        for (&idx, bit) in wm_indices.iter().zip(outcomes) {
+            let x = if bit { 1 } else { -1 };
             self.wm[idx] = (i32::from(self.wm[idx]) + dir * x).clamp(-WM_CLAMP, WM_CLAMP) as i8;
         }
         for &(idx, outcome) in wrs_terms {
@@ -552,10 +542,7 @@ impl ConditionalPredictor for BfNeural {
 
         // Unfiltered recent component (Algorithm 3: "Update
         // GHR_unfiltered").
-        self.unf_hist.push(taken);
-        self.folds.push(taken);
-        self.unf_addrs[self.addr_head] = pc;
-        self.addr_head = (self.addr_head + 1) % self.unf_addrs.len();
+        self.recent.push(pc, taken);
         self.now += 1;
 
         if let Some(lp) = self.loop_pred.as_mut() {
@@ -640,10 +627,7 @@ impl Restorable for BfNeural {
         w.i8_slice(&self.wb);
         w.i8_slice(&self.wm);
         w.i8_slice(&self.wrs);
-        self.unf_hist.save_state(w);
-        w.u64_slice(&self.unf_addrs);
-        w.usize(self.addr_head);
-        self.folds.save_state(w);
+        self.recent.save_state(w);
         self.deep.save_state(w);
         w.u64(self.now);
         w.i32(self.theta);
@@ -658,18 +642,7 @@ impl Restorable for BfNeural {
         r.i8_into(&mut self.wb)?;
         r.i8_into(&mut self.wm)?;
         r.i8_into(&mut self.wrs)?;
-        self.unf_hist.load_state(r)?;
-        let unf_addrs = r.u64_vec()?;
-        if unf_addrs.len() != self.unf_addrs.len() {
-            return Err(CodecError::Malformed("address ring size mismatch"));
-        }
-        let addr_head = r.usize()?;
-        if addr_head >= unf_addrs.len() {
-            return Err(CodecError::Malformed("address head out of range"));
-        }
-        self.unf_addrs = unf_addrs;
-        self.addr_head = addr_head;
-        self.folds.load_state(r)?;
+        self.recent.load_state(r)?;
         self.deep.load_state(r)?;
         self.now = r.u64()?;
         self.theta = r.i32()?;

@@ -6,6 +6,7 @@
 //! Table I / §VI-B). Every Figure 9 design-ablation knob is an ordinary
 //! parameter, so ablations are specs, not bespoke constructors.
 
+use bfbp_predictors::registry::{usize_in, MAX_HISTORY};
 use bfbp_sim::registry::{BuildError, Params, PredictorRegistry};
 use bfbp_tage::config::TageConfig;
 use bfbp_tage::isl::Isl;
@@ -64,20 +65,14 @@ fn neural_config(params: &Params) -> Result<BfNeuralConfig, BuildError> {
         log_bst: log2("log-bst")?,
         probabilistic_bst: params.bool("probabilistic-bst")?,
         log_wm_rows: log2("log-wm-rows")?,
-        recent_unfiltered: params.usize("recent-unfiltered")?,
+        recent_unfiltered: usize_in(params, "recent-unfiltered", MAX_HISTORY)?,
         log_wrs: log2("log-wrs")?,
-        deep_depth: params.usize("deep-depth")?,
+        deep_depth: usize_in(params, "deep-depth", MAX_HISTORY)?,
         history_mode: history_mode(params.str("history-mode")?)?,
         folded_hist: params.bool("folded-hist")?,
         positional: params.bool("positional")?,
         loop_predictor: params.bool("loop-predictor")?,
     };
-    if config.recent_unfiltered == 0 {
-        return Err(BuildError::invalid("recent-unfiltered", "must be non-zero"));
-    }
-    if config.deep_depth == 0 {
-        return Err(BuildError::invalid("deep-depth", "must be non-zero"));
-    }
     Ok(config)
 }
 
@@ -109,10 +104,7 @@ pub fn register(registry: &mut PredictorRegistry) {
             if !(1..=26).contains(&log_rows) {
                 return Err(BuildError::invalid("log-rows", "must be 1..=26"));
             }
-            let depth = p.usize("depth")?;
-            if depth == 0 {
-                return Err(BuildError::invalid("depth", "must be non-zero"));
-            }
+            let depth = usize_in(p, "depth", MAX_HISTORY)?;
             Ok(Box::new(IdealBfNeural::new(
                 log_rows,
                 depth,
@@ -190,6 +182,40 @@ mod tests {
         assert!(r
             .build("bf-neural", &Params::new().set("history-mode", "zigzag"))
             .is_err());
+    }
+
+    #[test]
+    fn lengths_the_kernels_cannot_run_are_rejected() {
+        let r = registry();
+        for (name, key) in [
+            ("bf-neural", "recent-unfiltered"),
+            ("bf-neural", "deep-depth"),
+            ("bf-neural-32kb", "recent-unfiltered"),
+            ("bf-neural-32kb", "deep-depth"),
+            ("bf-neural-ideal", "depth"),
+        ] {
+            for bad in [0, MAX_HISTORY + 1, 100_000_000_000] {
+                let err = r
+                    .build(name, &Params::new().set(key, bad))
+                    .err()
+                    .unwrap_or_else(|| panic!("{name}:{key}={bad} must be rejected"));
+                assert_eq!(
+                    err,
+                    BuildError::invalid(key, format!("must be 1..={MAX_HISTORY}")),
+                    "{name}:{key}={bad}"
+                );
+            }
+        }
+        let mut p = r
+            .build(
+                "bf-neural",
+                &Params::new()
+                    .set("recent-unfiltered", MAX_HISTORY)
+                    .set("deep-depth", MAX_HISTORY),
+            )
+            .unwrap();
+        p.predict(0x40);
+        p.update(0x40, true, 0);
     }
 
     #[test]

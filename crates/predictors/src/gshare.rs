@@ -78,9 +78,9 @@ impl ConditionalPredictor for Gshare {
 
     fn predict_batch(&mut self, pcs: &[u64], _targets: &[u64], takens: &[bool], miss: &mut [bool]) {
         // Carry the packed history register across the run instead of
-        // re-packing `hist_len` bits from the ring buffer per branch.
-        // `low_bits` puts age `i` at bit `i`, so committing an outcome is
-        // a shift-in at bit 0.
+        // re-reading it from the ring buffer per branch. `low_bits` puts
+        // age `i` at bit `i`, so committing an outcome is a shift-in at
+        // bit 0.
         let hmask = u64::MAX >> (64 - self.hist_len as u32);
         let mut h = self.history.low_bits(self.hist_len);
         for i in 0..pcs.len() {

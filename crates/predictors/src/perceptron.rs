@@ -61,10 +61,11 @@ impl Perceptron {
 
     fn dot(&self, pc: u64) -> i32 {
         let base = self.row(pc) * (self.history_len + 1);
+        let weights = &self.weights[base + 1..base + 1 + self.history_len];
         let mut sum = i32::from(self.weights[base]);
-        for i in 0..self.history_len {
-            let w = i32::from(self.weights[base + 1 + i]);
-            sum += if self.history.bit(i) { w } else { -w };
+        for (&w, bit) in weights.iter().zip(self.history.newest(self.history_len)) {
+            let w = i32::from(w);
+            sum += if bit { w } else { -w };
         }
         sum
     }
@@ -101,9 +102,12 @@ impl ConditionalPredictor for Perceptron {
             let base = self.row(pc) * (self.history_len + 1);
             let dir = if taken { 1 } else { -1 };
             clamp_weight(&mut self.weights[base], dir);
-            for i in 0..self.history_len {
-                let x = if self.history.bit(i) { 1 } else { -1 };
-                clamp_weight(&mut self.weights[base + 1 + i], dir * x);
+            let weights = &mut self.weights[base + 1..base + 1 + self.history_len];
+            for (w, bit) in weights
+                .iter_mut()
+                .zip(self.history.newest(self.history_len))
+            {
+                clamp_weight(w, if bit { dir } else { -dir });
             }
         }
         self.history.push(taken);

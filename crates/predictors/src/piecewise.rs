@@ -11,7 +11,7 @@ use bfbp_sim::ckpt::{CodecError, Restorable, StateReader, StateWriter};
 use bfbp_sim::predictor::{ConditionalPredictor, Provenance};
 use bfbp_sim::storage::StorageBreakdown;
 
-use crate::history::{mix64, BucketedFolds, GlobalHistory};
+use crate::history::{mix64, RecentPath};
 
 const WEIGHT_MIN: i32 = -63;
 const WEIGHT_MAX: i32 = 63;
@@ -54,10 +54,7 @@ pub struct PiecewiseLinear {
     config: PiecewiseConfig,
     weights: Vec<i8>,
     bias: Vec<i8>,
-    history: GlobalHistory,
-    addresses: Vec<u64>, // ring of the last h conditional-branch PCs
-    addr_head: usize,
-    folds: BucketedFolds,
+    path: RecentPath,
     theta: i32,
     last_sum: i32,
     last_indices: Vec<usize>,
@@ -77,10 +74,7 @@ impl PiecewiseLinear {
             config,
             weights: vec![0; 1 << config.log_table],
             bias: vec![0; 1 << config.log_bias],
-            history: GlobalHistory::new(config.history_len),
-            addresses: vec![0; config.history_len],
-            addr_head: 0,
-            folds: BucketedFolds::new(),
+            path: RecentPath::new(config.history_len),
             theta: (2.14 * (config.history_len as f64 + 1.0) + 20.58) as i32,
             last_sum: 0,
             last_indices: vec![0; config.history_len],
@@ -97,44 +91,31 @@ impl PiecewiseLinear {
         Self::new(PiecewiseConfig::conventional_64kb())
     }
 
-    fn address_at(&self, age: usize) -> u64 {
-        let h = self.addresses.len();
-        self.addresses[(self.addr_head + h - 1 - age) % h]
-    }
-
-    fn index(&self, pc: u64, age: usize) -> usize {
-        let mut key = (pc >> 2).wrapping_mul(0x9E37_79B9_7F4A_7C15)
-            ^ (self.address_at(age) >> 2).wrapping_mul(0xC2B2_AE3D_27D4_EB4F)
-            ^ (age as u64).wrapping_mul(0x1656_67B1_9E37_79F9);
-        if self.config.folded_hist {
-            key ^= self.folds.fold_for(age + 1) << 17;
-        }
-        (mix64(key) & ((1 << self.config.log_table) - 1)) as usize
-    }
-
     fn compute(&mut self, pc: u64) -> i32 {
         let mut sum =
             i32::from(self.bias[((pc >> 2) & ((1 << self.config.log_bias) - 1)) as usize]);
-        for age in 0..self.config.history_len {
-            let idx = self.index(pc, age);
-            self.last_indices[age] = idx;
-            let w = i32::from(self.weights[idx]);
-            sum += if self.history.bit(age) { w } else { -w };
-        }
+        let pc_key = (pc >> 2).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        let table_mask = (1u64 << self.config.log_table) - 1;
+        let folded = self.config.folded_hist;
+        let (weights, indices) = (&self.weights, &mut self.last_indices);
+        self.path.walk(|step| {
+            let mut key = pc_key
+                ^ (step.address >> 2).wrapping_mul(0xC2B2_AE3D_27D4_EB4F)
+                ^ (step.age as u64).wrapping_mul(0x1656_67B1_9E37_79F9);
+            if folded {
+                key ^= step.fold << 17;
+            }
+            let idx = (mix64(key) & table_mask) as usize;
+            indices[step.age] = idx;
+            let w = i32::from(weights[idx]);
+            sum += if step.taken { w } else { -w };
+        });
         sum
     }
 
     /// The training threshold θ.
     pub fn theta(&self) -> i32 {
         self.theta
-    }
-
-    /// Commits a conditional outcome to the history structures.
-    fn push_history(&mut self, pc: u64, taken: bool) {
-        self.history.push(taken);
-        self.folds.push(taken);
-        self.addresses[self.addr_head] = pc;
-        self.addr_head = (self.addr_head + 1) % self.addresses.len();
     }
 }
 
@@ -158,13 +139,13 @@ impl ConditionalPredictor for PiecewiseLinear {
             let dir = if taken { 1 } else { -1 };
             let bidx = ((pc >> 2) & ((1 << self.config.log_bias) - 1)) as usize;
             clamp_weight(&mut self.bias[bidx], dir);
-            for age in 0..self.config.history_len {
-                let x = if self.history.bit(age) { 1 } else { -1 };
-                let idx = self.last_indices[age];
+            let outcomes = self.path.history().newest(self.config.history_len);
+            for (&idx, bit) in self.last_indices.iter().zip(outcomes) {
+                let x = if bit { 1 } else { -1 };
                 clamp_weight(&mut self.weights[idx], dir * x);
             }
         }
-        self.push_history(pc, taken);
+        self.path.push(pc, taken);
     }
 
     fn storage(&self) -> StorageBreakdown {
@@ -180,7 +161,7 @@ impl ConditionalPredictor for PiecewiseLinear {
         );
         s.push(
             "history + address ring",
-            (self.config.history_len + self.addresses.len() * 14) as u64,
+            (self.config.history_len + self.path.depth() * 14) as u64,
         );
         s
     }
@@ -213,27 +194,13 @@ impl Restorable for PiecewiseLinear {
         // scratch rewritten by the next `predict` before any use.
         w.i8_slice(&self.weights);
         w.i8_slice(&self.bias);
-        self.history.save_state(w);
-        w.u64_slice(&self.addresses);
-        w.usize(self.addr_head);
-        self.folds.save_state(w);
+        self.path.save_state(w);
     }
 
     fn load_state(&mut self, r: &mut StateReader<'_>) -> Result<(), CodecError> {
         r.i8_into(&mut self.weights)?;
         r.i8_into(&mut self.bias)?;
-        self.history.load_state(r)?;
-        let addresses = r.u64_vec()?;
-        if addresses.len() != self.addresses.len() {
-            return Err(CodecError::Malformed("address ring size mismatch"));
-        }
-        let addr_head = r.usize()?;
-        if addr_head >= addresses.len() {
-            return Err(CodecError::Malformed("address head out of range"));
-        }
-        self.addresses = addresses;
-        self.addr_head = addr_head;
-        self.folds.load_state(r)
+        self.path.load_state(r)
     }
 }
 

@@ -18,6 +18,20 @@ fn log2_in(params: &Params, key: &str, max: u32) -> Result<u32, BuildError> {
     Ok(v)
 }
 
+/// Longest history any neural predictor accepts: its per-prediction
+/// walk and its history buffers grow with this length, so the bound
+/// keeps a spec from asking for more than the kernels can run.
+pub const MAX_HISTORY: usize = 1024;
+
+/// Reads a `usize` parameter that must lie in `1..=max`.
+pub fn usize_in(params: &Params, key: &str, max: usize) -> Result<usize, BuildError> {
+    let v = params.usize(key)?;
+    if !(1..=max).contains(&v) {
+        return Err(BuildError::invalid(key, format!("must be 1..={max}")));
+    }
+    Ok(v)
+}
+
 /// Registers `bimodal`, `gshare`, `perceptron`, `piecewise`, and
 /// `oh-snap`.
 ///
@@ -60,10 +74,7 @@ pub fn register(registry: &mut PredictorRegistry) {
             if rows == 0 {
                 return Err(BuildError::invalid("rows", "must be non-zero"));
             }
-            let hist = p.usize("hist")?;
-            if !(1..=1024).contains(&hist) {
-                return Err(BuildError::invalid("hist", "must be 1..=1024"));
-            }
+            let hist = usize_in(p, "hist", MAX_HISTORY)?;
             Ok(Box::new(Perceptron::new(rows, hist)))
         },
     );
@@ -80,14 +91,11 @@ pub fn register(registry: &mut PredictorRegistry) {
         },
         |p| {
             let config = PiecewiseConfig {
-                history_len: p.usize("hist")?,
+                history_len: usize_in(p, "hist", MAX_HISTORY)?,
                 log_table: log2_in(p, "log-table", 30)?,
                 log_bias: log2_in(p, "log-bias", 30)?,
                 folded_hist: p.bool("folded-hist")?,
             };
-            if config.history_len == 0 {
-                return Err(BuildError::invalid("hist", "must be non-zero"));
-            }
             Ok(Box::new(PiecewiseLinear::new(config)))
         },
     );
@@ -106,19 +114,14 @@ pub fn register(registry: &mut PredictorRegistry) {
         },
         |p| {
             let config = ScaledNeuralConfig {
-                history_len: p.usize("hist")?,
+                history_len: usize_in(p, "hist", MAX_HISTORY)?,
                 log_table: log2_in(p, "log-table", 30)?,
                 log_bias: log2_in(p, "log-bias", 30)?,
-                local_bits: p.usize("local-bits")?,
+                // Local histories are `u32` shift registers.
+                local_bits: usize_in(p, "local-bits", 31)?,
                 log_local_hist: log2_in(p, "log-local-hist", 30)?,
                 log_local_weights: log2_in(p, "log-local-weights", 30)?,
             };
-            if config.history_len == 0 {
-                return Err(BuildError::invalid("hist", "must be non-zero"));
-            }
-            if config.local_bits == 0 {
-                return Err(BuildError::invalid("local-bits", "must be non-zero"));
-            }
             Ok(Box::new(ScaledNeural::new(config)))
         },
     );
@@ -164,5 +167,35 @@ mod tests {
         assert!(r
             .build("bimodal", &Params::new().set("bits", 9u32))
             .is_err());
+    }
+
+    #[test]
+    fn lengths_the_kernels_cannot_run_are_rejected() {
+        let r = registry();
+        let huge = 100_000_000_000usize;
+        for (name, key, bad, max) in [
+            ("piecewise", "hist", huge, MAX_HISTORY),
+            ("piecewise", "hist", 0, MAX_HISTORY),
+            ("oh-snap", "hist", huge, MAX_HISTORY),
+            ("oh-snap", "hist", 0, MAX_HISTORY),
+            ("perceptron", "hist", MAX_HISTORY + 1, MAX_HISTORY),
+            ("oh-snap", "local-bits", 32, 31),
+            ("oh-snap", "local-bits", 40, 31),
+            ("oh-snap", "local-bits", 0, 31),
+        ] {
+            let err = r
+                .build(name, &Params::new().set(key, bad))
+                .err()
+                .unwrap_or_else(|| panic!("{name}:{key}={bad} must be rejected"));
+            assert_eq!(
+                err,
+                BuildError::invalid(key, format!("must be 1..={max}")),
+                "{name}:{key}={bad}"
+            );
+            // The largest accepted value builds and runs.
+            let mut p = r.build(name, &Params::new().set(key, max)).unwrap();
+            p.predict(0x40);
+            p.update(0x40, true, 0);
+        }
     }
 }

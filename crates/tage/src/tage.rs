@@ -471,9 +471,10 @@ pub struct Tage {
 }
 
 impl Tage {
-    /// Creates a conventional TAGE from a configuration.
-    pub fn new(config: &TageConfig) -> Self {
-        let capacity = config.max_history().max(64);
+    /// The `(window, width)` fold specs of a configuration: per table,
+    /// its index fold and two tag folds, listed together so the three
+    /// share one evicted-bit read per push.
+    pub fn fold_specs(config: &TageConfig) -> Vec<(usize, usize)> {
         let mut fold_specs = Vec::new();
         for g in &config.tables {
             fold_specs.push((g.history_len, g.log_size as usize)); // index fold
@@ -484,9 +485,15 @@ impl Tage {
             ));
             // tag fold B
         }
+        fold_specs
+    }
+
+    /// Creates a conventional TAGE from a configuration.
+    pub fn new(config: &TageConfig) -> Self {
+        let capacity = config.max_history().max(64);
         Self {
             core: TageCore::new(config),
-            history: ManagedHistory::new(capacity, &fold_specs),
+            history: ManagedHistory::new(capacity, &Self::fold_specs(config)),
             path: PathHistory::new(config.path_bits),
             name: format!("tage-{}t", config.tables.len()),
             idx_scratch: Vec::with_capacity(config.tables.len()),

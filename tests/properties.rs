@@ -1,7 +1,8 @@
 //! Randomized property tests for the core data structures and
 //! invariants: trace-format roundtrips, recency-stack invariants, BST
 //! FSM equivalence against a reference model, folded-history consistency,
-//! history-register semantics, and BF-GHR bounds.
+//! history-register semantics (bit and packed-word reads), and BF-GHR
+//! bounds.
 //!
 //! Uses the workspace's own deterministic [`Xoshiro256`] generator, so
 //! every case is reproducible from its printed seed.
@@ -14,6 +15,9 @@ use bfbp::core::bst::{BranchStatus, Bst};
 use bfbp::core::recency::RecencyStack;
 use bfbp::predictors::counter::{CounterTable, SatCounter};
 use bfbp::predictors::history::{GlobalHistory, ManagedHistory};
+use bfbp::sim::ckpt::{Restorable, StateReader, StateWriter};
+use bfbp::tage::config::TageConfig;
+use bfbp::tage::tage::Tage;
 use bfbp::trace::format::{read_trace, write_trace};
 use bfbp::trace::record::{BranchKind, BranchRecord, Trace};
 use bfbp::trace::rng::Xoshiro256;
@@ -177,6 +181,87 @@ fn global_history_matches_vec_model() {
                 };
                 assert_eq!(h.bit(age), expected, "seed {seed} age {age}");
             }
+        }
+    }
+}
+
+/// Every packed-word read agrees with `bit`, bit for bit, at every age
+/// (including ages past what was pushed and past capacity).
+fn assert_packed_matches_bits(h: &GlobalHistory, ctx: &str) {
+    for age in 0..h.capacity() + 64 {
+        let word = h.packed(age);
+        for j in 0..64 {
+            assert_eq!(
+                (word >> j) & 1 == 1,
+                h.bit(age + j),
+                "{ctx}: age {age} bit {j}"
+            );
+        }
+    }
+    for n in 0..=64 {
+        let expected: u64 = (0..n).filter(|&a| h.bit(a)).map(|a| 1 << a).sum();
+        assert_eq!(h.low_bits(n), expected, "{ctx}: low_bits({n})");
+    }
+}
+
+#[test]
+fn packed_history_reads_match_bit() {
+    for capacity in [64usize, 128, 2048] {
+        let mut rng = Xoshiro256::seed_from_u64(capacity as u64);
+        let mut h = GlobalHistory::new(capacity);
+        assert_eq!(h.capacity(), capacity);
+        let mut stops = vec![0, 1, 63, 64, 65, capacity - 1, capacity];
+        stops.extend([capacity + 1, 2 * capacity + 37]);
+        stops.sort_unstable();
+        stops.dedup();
+        let mut pushed = 0;
+        for stop in stops {
+            while pushed < stop {
+                h.push(rng.chance(0.5));
+                pushed += 1;
+            }
+            let ctx = format!("capacity {capacity}, {pushed} pushes");
+            assert_packed_matches_bits(&h, &ctx);
+            // A checkpoint round trip restores the same reads, and both
+            // copies stay equal as the ring keeps wrapping.
+            let mut w = StateWriter::new();
+            h.save_state(&mut w);
+            let bytes = w.into_bytes();
+            let mut restored = GlobalHistory::new(capacity);
+            restored
+                .load_state(&mut StateReader::new(&bytes))
+                .expect("round trip");
+            assert_packed_matches_bits(&restored, &format!("{ctx}, restored"));
+            let mut ahead = h.clone();
+            for _ in 0..capacity / 2 + 3 {
+                let b = rng.chance(0.5);
+                ahead.push(b);
+                restored.push(b);
+            }
+            assert_eq!(restored, ahead, "{ctx}");
+            assert_packed_matches_bits(&restored, &format!("{ctx}, restored and pushed"));
+        }
+    }
+}
+
+#[test]
+fn isl_tage_fold_spec_stays_equal_to_recompute() {
+    // ISL-TAGE's 15 tables: three folds per window, so one push makes
+    // 15 evicted-bit reads for 45 folds.
+    let config = TageConfig::conventional(15).expect("15 tables");
+    let specs = Tage::fold_specs(&config);
+    let mut m = ManagedHistory::new(config.max_history(), &specs);
+    assert_eq!(m.folds().len(), 45);
+    assert_eq!(m.window_reads(), 15);
+    let mut rng = Xoshiro256::seed_from_u64(15);
+    for push in 0..m.history().capacity() + 100 {
+        m.push(rng.chance(0.5));
+        for (i, fold) in m.folds().iter().enumerate() {
+            assert_eq!(
+                m.fold(i),
+                fold.recompute(m.history()),
+                "push {push}, fold {i}"
+            );
         }
     }
 }

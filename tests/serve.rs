@@ -248,6 +248,15 @@ fn protocol_misuse_gets_typed_errors_not_hangups() {
             }) => {}
             other => panic!("expected BadSpec, got {other:?}"),
         }
+        // A spec whose history length no kernel can run: rejected by
+        // the registry before anything is allocated.
+        match client.open(3, "oh-snap:hist=100000000000") {
+            Err(ServeError::Remote {
+                code: ErrorCode::BadSpec,
+                ..
+            }) => {}
+            other => panic!("expected BadSpec for an oversized history, got {other:?}"),
+        }
         // Re-attaching with a different spec text.
         client.open(2, "gshare").expect("open");
         match client.open(2, "bimodal") {
