@@ -205,7 +205,7 @@ impl FaultPlan {
     /// * `delay@JOB=MS` — injected delay,
     /// * `io@JOB` / `io@JOB=KIND` — trace-format failure (`KIND` one of
     ///   `bad-magic`, `bad-version`, `bad-varint`, `checksum`, `count`,
-    ///   `bad-kind`, `bad-name`; default `checksum`),
+    ///   `bad-kind`, `bad-name`, `huge-name`; default `checksum`),
     /// * `skip@JOB` — never attempt the job,
     /// * `kill@JOB=RECORD` — simulated SIGKILL after `RECORD` records,
     /// * `random@SEED=RATE` — seeded random layer.

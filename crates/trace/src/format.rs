@@ -249,15 +249,83 @@ impl<W: Write> TraceWriter<W> {
 /// 4–6 bytes, so one refill serves thousands of records.
 const READER_BUF_BYTES: usize = 16 * 1024;
 
+/// Longest LEB128 varint the format allows: ten 7-bit groups cover 64
+/// bits.
+const MAX_VARINT_BYTES: usize = 10;
+
+/// Longest encoded record: a tag plus three varints of at most
+/// [`MAX_VARINT_BYTES`] each. With this many bytes buffered, a record
+/// decodes from the buffer slice with no refill or end-of-stream test.
+const RECORD_WINDOW: usize = 1 + 3 * MAX_VARINT_BYTES;
+
+/// Where [`TraceReader`]'s decode loop puts records: a `Vec` of records,
+/// a chunk's columns, or the one slot the iterator hands out.
+pub(crate) trait RecordSink {
+    /// Appends one decoded record, field by field.
+    fn put(&mut self, pc: u64, target: u64, kind: BranchKind, taken: bool, insts: u32);
+}
+
+impl RecordSink for Vec<BranchRecord> {
+    #[inline]
+    fn put(&mut self, pc: u64, target: u64, kind: BranchKind, taken: bool, insts: u32) {
+        self.push(BranchRecord {
+            pc,
+            target,
+            kind,
+            taken,
+            non_branch_insts: insts,
+        });
+    }
+}
+
+impl RecordSink for Option<BranchRecord> {
+    #[inline]
+    fn put(&mut self, pc: u64, target: u64, kind: BranchKind, taken: bool, insts: u32) {
+        *self = Some(BranchRecord {
+            pc,
+            target,
+            kind,
+            taken,
+            non_branch_insts: insts,
+        });
+    }
+}
+
+/// The instruction gap: [`TraceWriter`] stores a `u32`, so a wider
+/// value marks a corrupt record even under a matching checksum.
+#[inline]
+fn inst_gap(value: u64) -> Result<u32, TraceFormatError> {
+    u32::try_from(value).map_err(|_| TraceFormatError::MalformedVarint)
+}
+
+/// The varint at `window[at..]`, with the index just past it; `None`
+/// when all [`MAX_VARINT_BYTES`] bytes carry a continuation bit.
+#[inline(always)]
+fn window_varint(window: &[u8; RECORD_WINDOW], at: usize) -> Option<(u64, usize)> {
+    let mut value = 0u64;
+    for i in 0..MAX_VARINT_BYTES {
+        let byte = window[at + i];
+        value |= u64::from(byte & 0x7F) << (7 * i);
+        if byte & 0x80 == 0 {
+            return Some((value, at + i + 1));
+        }
+    }
+    None
+}
+
 /// Streaming trace reader; an [`Iterator`] over records.
 ///
 /// The footer (count + checksum) is validated when the end tag is reached;
 /// validation failures surface as the iterator's final `Some(Err(..))`.
 ///
-/// The reader maintains its own read-ahead buffer and decodes tags and
-/// varints byte-by-byte from it, so the per-record hot path never issues
-/// a sub-buffer read against the underlying source; wrapping the source
-/// in a `BufReader` is unnecessary.
+/// The reader maintains its own read-ahead buffer and decodes records
+/// straight from it, so the per-record hot path never issues a read
+/// against the underlying source; wrapping the source in a `BufReader`
+/// is unnecessary. While a whole [`RECORD_WINDOW`] is buffered, a record
+/// decodes from the buffer slice in one step; the header, the footer,
+/// the last bytes of each buffer and any record the window cannot accept
+/// go a byte at a time, and that byte path is the one that reports every
+/// record error.
 #[derive(Debug)]
 pub struct TraceReader<R: Read> {
     inner: R,
@@ -301,9 +369,13 @@ impl<R: Read> TraceReader<R> {
         if version != VERSION {
             return Err(TraceFormatError::UnsupportedVersion(version));
         }
-        let name_len = reader.varint_unhashed()? as usize;
-        let mut name_bytes = vec![0u8; name_len];
-        reader.fill_exact(&mut name_bytes)?;
+        // The name grows only as the stream delivers its bytes: a
+        // corrupt length runs into end-of-stream, not a huge allocation.
+        let name_len = reader.varint_unhashed()?;
+        let mut name_bytes = Vec::new();
+        for _ in 0..name_len {
+            name_bytes.push(reader.next_byte()?);
+        }
         reader.name = String::from_utf8(name_bytes).map_err(|_| TraceFormatError::BadName)?;
         Ok(reader)
     }
@@ -392,7 +464,84 @@ impl<R: Read> TraceReader<R> {
         }
     }
 
-    fn read_record(&mut self) -> Result<Option<BranchRecord>, TraceFormatError> {
+    /// Decodes up to `max` records into `sink` and returns how many it
+    /// delivered; fewer than `max` means the footer was reached and
+    /// validated, and every later call returns `Ok(0)`. After an error
+    /// the reader is exhausted too.
+    pub(crate) fn read_into<S: RecordSink>(
+        &mut self,
+        sink: &mut S,
+        max: usize,
+    ) -> Result<usize, TraceFormatError> {
+        let mut n = 0;
+        while n < max && !self.done {
+            n += self.decode_windows(sink, max - n);
+            if n == max {
+                break;
+            }
+            match self.decode_bytewise(sink) {
+                Ok(true) => n += 1,
+                Ok(false) => self.done = true,
+                Err(e) => {
+                    self.done = true;
+                    return Err(e);
+                }
+            }
+        }
+        Ok(n)
+    }
+
+    /// Decodes up to `max` records from the buffer while a whole
+    /// [`RECORD_WINDOW`] is buffered. Stops early at the end tag, a bad
+    /// kind, a varint of more than [`MAX_VARINT_BYTES`] or a gap wider
+    /// than `u32`, leaving that record to [`Self::decode_bytewise`],
+    /// which validates the footer or reports the error.
+    #[inline]
+    fn decode_windows<S: RecordSink>(&mut self, sink: &mut S, max: usize) -> usize {
+        let buf = &self.buf[..self.filled];
+        let mut pos = self.pos;
+        let mut hash = self.hash;
+        let mut prev_pc = self.prev_pc;
+        let mut n = 0;
+        while n < max {
+            let Some(window) = buf[pos..].first_chunk::<RECORD_WINDOW>() else {
+                break;
+            };
+            let tag = window[0];
+            // The end tag's kind bits (0x7F) are not a kind either.
+            let Some(kind) = BranchKind::from_u8(tag & 0x7F) else {
+                break;
+            };
+            let Some((pc_delta, at)) = window_varint(window, 1) else {
+                break;
+            };
+            let Some((target_delta, at)) = window_varint(window, at) else {
+                break;
+            };
+            let Some((gap, len)) = window_varint(window, at) else {
+                break;
+            };
+            let Ok(insts) = inst_gap(gap) else {
+                break;
+            };
+            hash.update(&window[..len]);
+            let pc = prev_pc.wrapping_add(unzigzag(pc_delta) as u64);
+            let target = pc.wrapping_add(unzigzag(target_delta) as u64);
+            sink.put(pc, target, kind, tag & 0x80 != 0, insts);
+            prev_pc = pc;
+            pos += len;
+            n += 1;
+        }
+        self.pos = pos;
+        self.hash = hash;
+        self.prev_pc = prev_pc;
+        self.count += n as u64;
+        n
+    }
+
+    /// Decodes one record a byte at a time, or validates the footer and
+    /// returns `Ok(false)` at the end tag.
+    fn decode_bytewise<S: RecordSink>(&mut self, sink: &mut S) -> Result<bool, TraceFormatError> {
         let tag = self.next_byte()?;
         if tag == END_TAG {
             let expected_count = self.varint_unhashed()?;
@@ -409,23 +558,18 @@ impl<R: Read> TraceReader<R> {
             if expected != actual {
                 return Err(TraceFormatError::ChecksumMismatch { expected, actual });
             }
-            return Ok(None);
+            return Ok(false);
         }
         self.hash.update1(tag);
         let taken = tag & 0x80 != 0;
         let kind = BranchKind::from_u8(tag & 0x7F).ok_or(TraceFormatError::BadKind(tag & 0x7F))?;
         let pc = self.prev_pc.wrapping_add(unzigzag(self.varint()?) as u64);
         let target = pc.wrapping_add(unzigzag(self.varint()?) as u64);
-        let insts = self.varint()? as u32;
+        let insts = inst_gap(self.varint()?)?;
         self.prev_pc = pc;
         self.count += 1;
-        Ok(Some(BranchRecord {
-            pc,
-            target,
-            kind,
-            taken,
-            non_branch_insts: insts,
-        }))
+        sink.put(pc, target, kind, taken, insts);
+        Ok(true)
     }
 }
 
@@ -433,19 +577,10 @@ impl<R: Read> Iterator for TraceReader<R> {
     type Item = Result<BranchRecord, TraceFormatError>;
 
     fn next(&mut self) -> Option<Self::Item> {
-        if self.done {
-            return None;
-        }
-        match self.read_record() {
-            Ok(Some(record)) => Some(Ok(record)),
-            Ok(None) => {
-                self.done = true;
-                None
-            }
-            Err(e) => {
-                self.done = true;
-                Some(Err(e))
-            }
+        let mut record = None;
+        match self.read_into(&mut record, 1) {
+            Ok(_) => record.map(Ok),
+            Err(e) => Some(Err(e)),
         }
     }
 }
@@ -478,12 +613,9 @@ pub fn write_trace<W: Write>(writer: W, trace: &Trace) -> Result<(), TraceFormat
 /// checksum or record-count mismatches.
 pub fn read_trace<R: Read>(reader: R) -> Result<Trace, TraceFormatError> {
     let mut tr = TraceReader::new(reader)?;
-    let name = tr.name().to_owned();
     let mut records = Vec::new();
-    for record in &mut tr {
-        records.push(record?);
-    }
-    Ok(Trace::new(name, records))
+    tr.read_into(&mut records, usize::MAX)?;
+    Ok(Trace::new(std::mem::take(&mut tr.name), records))
 }
 
 /// Opens and fully reads (and thereby validates) a trace file.
@@ -534,11 +666,15 @@ pub mod corrupt {
         BadKind,
         /// Non-UTF-8 name byte → [`super::TraceFormatError::BadName`].
         BadName,
+        /// A name length of 16 GiB, far past the stream's end →
+        /// [`super::TraceFormatError::Io`] (`UnexpectedEof`). The reader
+        /// allocates only the name bytes the stream delivers.
+        HugeName,
     }
 
     impl CorruptKind {
         /// Every corruption kind, one per recoverable reader error.
-        pub const ALL: [CorruptKind; 7] = [
+        pub const ALL: [CorruptKind; 8] = [
             CorruptKind::BadMagic,
             CorruptKind::UnsupportedVersion,
             CorruptKind::MalformedVarint,
@@ -546,6 +682,7 @@ pub mod corrupt {
             CorruptKind::CountMismatch,
             CorruptKind::BadKind,
             CorruptKind::BadName,
+            CorruptKind::HugeName,
         ];
 
         /// Stable kebab-case name (used by `--fault-plan io@JOB=KIND`).
@@ -558,6 +695,7 @@ pub mod corrupt {
                 CorruptKind::CountMismatch => "count",
                 CorruptKind::BadKind => "bad-kind",
                 CorruptKind::BadName => "bad-name",
+                CorruptKind::HugeName => "huge-name",
             }
         }
 
@@ -607,6 +745,10 @@ pub mod corrupt {
             CorruptKind::CountMismatch => buf[count_at] += 1,
             CorruptKind::BadKind => buf[first_tag] = 0x7E,
             CorruptKind::BadName => buf[7] = 0xFF,
+            // 0x3_FFFF_FFFF name bytes.
+            CorruptKind::HugeName => {
+                buf.splice(6..7, [0xFF, 0xFF, 0xFF, 0xFF, 0x3F]);
+            }
         }
         buf
     }
@@ -732,6 +874,9 @@ mod tests {
                 }
                 CorruptKind::BadKind => matches!(err, TraceFormatError::BadKind(0x7E)),
                 CorruptKind::BadName => matches!(err, TraceFormatError::BadName),
+                CorruptKind::HugeName => {
+                    matches!(&err, TraceFormatError::Io(e) if e.kind() == io::ErrorKind::UnexpectedEof)
+                }
             };
             assert!(matches, "{kind:?} produced {err:?}");
         }
@@ -794,6 +939,64 @@ mod tests {
         for e in errors {
             assert!(!format!("{e}").is_empty());
             assert!(!format!("{e:?}").is_empty());
+        }
+    }
+
+    /// A hand-built stream: `records` are `(tag, pc delta, target delta,
+    /// gap)` with the deltas already zigzagged, and the footer carries
+    /// their true count and checksum.
+    fn hand_built(records: &[(u8, u64, u64, u64)]) -> Vec<u8> {
+        let mut body = Vec::new();
+        let mut hash = Fnv::new();
+        for &(tag, pc, target, gap) in records {
+            body.push(tag);
+            for value in [pc, target, gap] {
+                write_varint(&mut body, value, &mut Fnv::new()).unwrap();
+            }
+        }
+        hash.update(&body);
+        let mut buf = b"BFBT\x01\x00\x01h".to_vec();
+        buf.extend_from_slice(&body);
+        buf.push(END_TAG);
+        write_varint(&mut buf, records.len() as u64, &mut Fnv::new()).unwrap();
+        buf.extend_from_slice(&hash.finish().to_le_bytes());
+        buf
+    }
+
+    #[test]
+    fn gap_above_u32_is_malformed_under_a_valid_checksum() {
+        let plain = (0x00, 2, 4, 1);
+        let widest = (0x80, 2, 4, u64::from(u32::MAX));
+        let too_wide = (0x80, 2, 4, u64::from(u32::MAX) + 1);
+        // First, the window path meets the record (30+ bytes follow it);
+        // last, the byte path does.
+        for at_end in [false, true] {
+            let mut records = vec![plain; 12];
+            records.insert(if at_end { 12 } else { 0 }, widest);
+            let back = read_trace(&hand_built(&records)[..]).unwrap();
+            assert!(back
+                .records()
+                .iter()
+                .any(|r| r.non_branch_insts == u32::MAX));
+
+            let mut records = vec![plain; 12];
+            records.insert(if at_end { 12 } else { 0 }, too_wide);
+            let err = read_trace(&hand_built(&records)[..]).unwrap_err();
+            assert!(
+                matches!(err, TraceFormatError::MalformedVarint),
+                "at_end {at_end}: {err:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn huge_name_length_is_an_error_not_an_allocation() {
+        // 0x3_FFFF_FFFF name bytes claimed, one delivered.
+        let buf = b"BFBT\x01\x00\xff\xff\xff\xff\x3fx";
+        assert_eq!(buf.len(), 12);
+        match read_trace(&buf[..]) {
+            Err(TraceFormatError::Io(e)) => assert_eq!(e.kind(), io::ErrorKind::UnexpectedEof),
+            other => panic!("expected UnexpectedEof, got {other:?}"),
         }
     }
 }

@@ -22,7 +22,7 @@ use std::fs::File;
 use std::io::Read;
 use std::path::Path;
 
-use crate::format::{TraceFormatError, TraceReader};
+use crate::format::{RecordSink, TraceFormatError, TraceReader};
 use crate::record::{BranchKind, BranchRecord, Trace};
 use crate::synth::program::{Program, StreamState};
 
@@ -84,11 +84,23 @@ impl TraceChunk {
 
     /// Appends one record, splitting it across the arrays.
     pub fn push(&mut self, record: &BranchRecord) {
-        self.pc.push(record.pc);
-        self.target.push(record.target);
-        self.kind.push(record.kind);
-        self.taken.push(record.taken);
-        self.inst_gap.push(record.non_branch_insts);
+        self.put(
+            record.pc,
+            record.target,
+            record.kind,
+            record.taken,
+            record.non_branch_insts,
+        );
+    }
+
+    /// Appends `records`, filling one array at a time.
+    pub fn extend_from_records(&mut self, records: &[BranchRecord]) {
+        self.pc.extend(records.iter().map(|r| r.pc));
+        self.target.extend(records.iter().map(|r| r.target));
+        self.kind.extend(records.iter().map(|r| r.kind));
+        self.taken.extend(records.iter().map(|r| r.taken));
+        self.inst_gap
+            .extend(records.iter().map(|r| r.non_branch_insts));
     }
 
     /// Branch addresses, one per record.
@@ -129,6 +141,18 @@ impl TraceChunk {
             taken: self.taken[i],
             non_branch_insts: self.inst_gap[i],
         }
+    }
+}
+
+/// The BFBT decoder writes straight into the columns.
+impl RecordSink for TraceChunk {
+    #[inline]
+    fn put(&mut self, pc: u64, target: u64, kind: BranchKind, taken: bool, insts: u32) {
+        self.pc.push(pc);
+        self.target.push(target);
+        self.kind.push(kind);
+        self.taken.push(taken);
+        self.inst_gap.push(insts);
     }
 }
 
@@ -212,22 +236,21 @@ impl<R: Read> TraceSource for FileSource<R> {
         let Some(reader) = self.reader.as_mut() else {
             return Ok(0);
         };
-        while chunk.len() < max_records {
-            match reader.next() {
-                Some(Ok(record)) => chunk.push(&record),
-                Some(Err(e)) => {
-                    // Fuse after a decode error: the stream position is
-                    // unrecoverable, so later calls report exhaustion.
+        match reader.read_into(chunk, max_records) {
+            Ok(n) => {
+                if n < max_records {
+                    // The footer validated: the stream is done.
                     self.reader = None;
-                    return Err(e);
                 }
-                None => {
-                    self.reader = None;
-                    break;
-                }
+                Ok(n)
+            }
+            Err(e) => {
+                // Fuse after a decode error: the stream position is
+                // unrecoverable, so later calls report exhaustion.
+                self.reader = None;
+                Err(e)
             }
         }
-        Ok(chunk.len())
     }
 }
 
@@ -308,9 +331,7 @@ impl TraceSource for ReplaySource<'_> {
         chunk.clear();
         let records = self.trace.records();
         let n = max_records.min(records.len() - self.pos);
-        for record in &records[self.pos..self.pos + n] {
-            chunk.push(record);
-        }
+        chunk.extend_from_records(&records[self.pos..self.pos + n]);
         self.pos += n;
         Ok(n)
     }

@@ -1,5 +1,6 @@
 //! Randomized property tests for the core data structures and
-//! invariants: trace-format roundtrips, recency-stack invariants, BST
+//! invariants: trace-format roundtrips (and agreement of the reader's
+//! record-window and byte paths), recency-stack invariants, BST
 //! FSM equivalence against a reference model, folded-history consistency,
 //! history-register semantics (bit and packed-word reads), and BF-GHR
 //! bounds.
@@ -8,7 +9,7 @@
 //! every case is reproducible from its printed seed.
 
 use std::collections::HashMap;
-use std::io::Cursor;
+use std::io::{self, Cursor, Read};
 
 use bfbp::core::bf_ghr::BfGhr;
 use bfbp::core::bst::{BranchStatus, Bst};
@@ -18,9 +19,10 @@ use bfbp::predictors::history::{GlobalHistory, ManagedHistory};
 use bfbp::sim::ckpt::{Restorable, StateReader, StateWriter};
 use bfbp::tage::config::TageConfig;
 use bfbp::tage::tage::Tage;
-use bfbp::trace::format::{read_trace, write_trace};
+use bfbp::trace::format::{read_trace, write_trace, TraceFormatError};
 use bfbp::trace::record::{BranchKind, BranchRecord, Trace};
 use bfbp::trace::rng::Xoshiro256;
+use bfbp::trace::source::{FileSource, ReplaySource, TraceChunk, TraceSource};
 
 fn rand_record(rng: &mut Xoshiro256) -> BranchRecord {
     let kind = BranchKind::from_u8(rng.below(6) as u8).expect("0..6 are valid kinds");
@@ -71,6 +73,217 @@ fn trace_format_rejects_any_single_bitflip() {
         // produce a different name; silent identical success is a bug.
         if let Ok(back) = read_trace(Cursor::new(&buf)) {
             assert_ne!(back, trace, "seed {seed}: corruption went unnoticed");
+        }
+    }
+}
+
+/// A `Read` that hands out one byte per call, so the trace reader never
+/// has a whole record window buffered and decodes every byte on its
+/// byte path.
+struct OneByteReader<'a>(&'a [u8]);
+
+impl Read for OneByteReader<'_> {
+    fn read(&mut self, out: &mut [u8]) -> io::Result<usize> {
+        match (self.0.split_first(), out.first_mut()) {
+            (Some((&byte, rest)), Some(slot)) => {
+                *slot = byte;
+                self.0 = rest;
+                Ok(1)
+            }
+            _ => Ok(0),
+        }
+    }
+}
+
+/// A decode outcome that compares by value: the trace, or the error's
+/// debug rendering.
+type Decoded = Result<Trace, String>;
+
+fn describe(e: TraceFormatError) -> String {
+    format!("{e:?}")
+}
+
+/// Drains `source` through chunks of `chunk_records`.
+fn drain_chunks(source: &mut dyn TraceSource, chunk_records: usize) -> Decoded {
+    let name = source.name().to_owned();
+    let mut records = Vec::new();
+    let mut chunk = TraceChunk::new();
+    while source
+        .fill_chunk(&mut chunk, chunk_records)
+        .map_err(describe)?
+        > 0
+    {
+        assert!(chunk.len() <= chunk_records);
+        records.extend((0..chunk.len()).map(|i| chunk.record(i)));
+    }
+    Ok(Trace::new(name, records))
+}
+
+/// Every way a BFBT stream gets decoded, labelled: `read_trace` over a
+/// slice (record windows), over a one-byte reader (byte path only), and
+/// `FileSource` at three chunk sizes.
+fn decode_every_way(bytes: &[u8]) -> Vec<(String, Decoded)> {
+    let mut ways = vec![
+        ("slice".to_owned(), read_trace(bytes).map_err(describe)),
+        (
+            "one-byte".to_owned(),
+            read_trace(OneByteReader(bytes)).map_err(describe),
+        ),
+    ];
+    for chunk_records in [1, 7, 4096] {
+        let decoded = FileSource::from_reader(bytes)
+            .map_err(describe)
+            .and_then(|mut source| drain_chunks(&mut source, chunk_records));
+        ways.push((format!("file-source/{chunk_records}"), decoded));
+    }
+    ways
+}
+
+/// A pc or target delta: the extremes, full-width values that take
+/// ten-byte varints, and short ones of either sign.
+fn rand_delta(rng: &mut Xoshiro256) -> i64 {
+    match rng.below(6) {
+        0 => i64::MIN,
+        1 => i64::MAX,
+        2 => rng.next_u64() as i64,
+        3 => (rng.next_u64() >> rng.below(64)) as i64,
+        _ => rng.below(4096) as i64 - 2048,
+    }
+}
+
+fn rand_gap(rng: &mut Xoshiro256) -> u32 {
+    match rng.below(4) {
+        0 => u32::MAX,
+        1 => rng.next_u64() as u32,
+        _ => rng.below(300) as u32,
+    }
+}
+
+/// A trace with every branch kind, `i64::MIN` and `i64::MAX` pc and
+/// target deltas, and gaps up to `u32::MAX`.
+fn rand_wide_trace(rng: &mut Xoshiro256, n_records: usize) -> Trace {
+    let mut pc = 0u64;
+    let records = (0..n_records.max(BranchKind::ALL.len()))
+        .map(|i| {
+            let kind = match BranchKind::ALL.get(i) {
+                Some(&kind) => kind,
+                None => *rng.pick(&BranchKind::ALL),
+            };
+            let (pc_delta, target_delta) = match i {
+                0 => (i64::MIN, i64::MAX),
+                1 => (i64::MAX, i64::MIN),
+                _ => (rand_delta(rng), rand_delta(rng)),
+            };
+            pc = pc.wrapping_add(pc_delta as u64);
+            BranchRecord {
+                pc,
+                target: pc.wrapping_add(target_delta as u64),
+                kind,
+                taken: !kind.is_conditional() || rng.chance(0.5),
+                non_branch_insts: if i == 2 { u32::MAX } else { rand_gap(rng) },
+            }
+        })
+        .collect();
+    Trace::new("wide", records)
+}
+
+#[test]
+fn record_window_and_byte_path_decode_alike() {
+    for seed in 0..48u64 {
+        let mut rng = Xoshiro256::seed_from_u64(seed);
+        let n_records = rng.range_inclusive(0, 3000) as usize;
+        let trace = rand_wide_trace(&mut rng, n_records);
+        let mut bytes = Vec::new();
+        write_trace(&mut bytes, &trace).expect("write");
+        for (way, decoded) in decode_every_way(&bytes) {
+            assert_eq!(decoded.as_ref(), Ok(&trace), "seed {seed}, {way}");
+        }
+        for chunk_records in [1, 7, 4096] {
+            let replayed = drain_chunks(&mut ReplaySource::new(&trace), chunk_records);
+            assert_eq!(
+                replayed,
+                Ok(trace.clone()),
+                "seed {seed}, replay/{chunk_records}"
+            );
+        }
+    }
+}
+
+#[test]
+fn every_truncation_fails_alike_on_both_paths() {
+    for seed in 0..4u64 {
+        let mut rng = Xoshiro256::seed_from_u64(seed);
+        let trace = rand_wide_trace(&mut rng, 12);
+        let mut bytes = Vec::new();
+        write_trace(&mut bytes, &trace).expect("write");
+        for cut in 0..bytes.len() {
+            let ways = decode_every_way(&bytes[..cut]);
+            let (_, byte_path) = &ways[1];
+            assert!(byte_path.is_err(), "seed {seed}: cut {cut} decoded");
+            for (way, decoded) in &ways {
+                assert_eq!(decoded, byte_path, "seed {seed}, cut {cut}, {way}");
+            }
+        }
+    }
+}
+
+/// LEB128 bytes of `value`.
+fn leb128(mut value: u64) -> Vec<u8> {
+    let mut out = Vec::new();
+    loop {
+        let byte = (value & 0x7F) as u8;
+        value >>= 7;
+        if value == 0 {
+            out.push(byte);
+            return out;
+        }
+        out.push(byte | 0x80);
+    }
+}
+
+#[test]
+fn over_long_varints_are_malformed_at_every_position() {
+    // Ten-byte neighbours put the third varint's eleventh byte just past
+    // the record window; one-byte ones keep it inside.
+    let full = leb128(u64::MAX);
+    assert_eq!(full.len(), 10);
+    for width in [1usize, 10] {
+        let neighbour = if width == 10 {
+            full.clone()
+        } else {
+            vec![0x02]
+        };
+        for position in 0..3 {
+            for over_long in 11..=12 {
+                let mut bad = vec![0x80u8; over_long - 1];
+                bad.push(0x01);
+                let mut record = vec![0x00];
+                for varint in 0..3 {
+                    record.extend(if varint == position { &bad } else { &neighbour });
+                }
+                let good = [0x00, 0x02, 0x02, 0x01];
+                // With 40 records after it the bad record sits in a full
+                // record window; with none and one-byte neighbours it
+                // sits in the buffer's last 30 bytes.
+                for records_after in [40, 0] {
+                    let mut bytes = b"BFBT\x01\x00\x01v".to_vec();
+                    bytes.extend_from_slice(&good);
+                    bytes.extend_from_slice(&record);
+                    for _ in 0..records_after {
+                        bytes.extend_from_slice(&good);
+                    }
+                    bytes.extend_from_slice(&[0x7F, 0x00]);
+                    bytes.extend_from_slice(&[0; 8]);
+                    for (way, decoded) in decode_every_way(&bytes) {
+                        assert_eq!(
+                            decoded,
+                            Err("MalformedVarint".to_owned()),
+                            "{way}: neighbours of {width} bytes, varint {position} of \
+                             {over_long} bytes, {records_after} records after"
+                        );
+                    }
+                }
+            }
         }
     }
 }
