@@ -122,10 +122,8 @@ fn main() -> ExitCode {
         };
         let n = records.unwrap_or_else(|| trace_spec.default_len());
         let (trace, _status) = cache.fetch(&trace_spec, n);
-        let mut chunk = TraceChunk::with_capacity(trace.len());
-        for record in trace.records() {
-            chunk.push(record);
-        }
+        let mut chunk = TraceChunk::new();
+        chunk.extend_from_records(trace.records());
         let mut predictor = match registry.build_spec(&spec) {
             Ok(p) => p,
             Err(e) => {

@@ -593,10 +593,8 @@ impl Frame {
                 return;
             }
             Frame::OutcomeBatch { session, records } => {
-                let mut chunk = TraceChunk::with_capacity(records.len());
-                for record in records {
-                    chunk.push(record);
-                }
+                let mut chunk = TraceChunk::new();
+                chunk.extend_from_records(records);
                 encode_outcome_batch(*session, &chunk, 0, records.len(), out);
                 return;
             }

@@ -33,10 +33,8 @@ fn spec03(n_records: usize) -> Trace {
 }
 
 fn chunk_of(trace: &Trace) -> TraceChunk {
-    let mut chunk = TraceChunk::with_capacity(trace.len());
-    for record in trace.records() {
-        chunk.push(record);
-    }
+    let mut chunk = TraceChunk::new();
+    chunk.extend_from_records(trace.records());
     chunk
 }
 

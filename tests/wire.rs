@@ -314,10 +314,8 @@ fn hot_path_encoders_match_the_generic_frame_encoder() {
 
         let records: Vec<BranchRecord> =
             (0..rng.below(129)).map(|_| rand_record(&mut rng)).collect();
-        let mut chunk = TraceChunk::with_capacity(records.len());
-        for record in &records {
-            chunk.push(record);
-        }
+        let mut chunk = TraceChunk::new();
+        chunk.extend_from_records(&records);
         encode_outcome_batch(session, &chunk, 0, chunk.len(), &mut fast);
         Frame::OutcomeBatch { session, records }.encode_into(&mut generic);
         assert_eq!(fast, generic, "seed {seed}: OUTCOME_BATCH layouts diverge");
