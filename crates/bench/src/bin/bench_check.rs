@@ -1,267 +1,44 @@
-//! Perf-regression gate over the committed `BENCH_*.json` baselines:
-//! compares the newest benchmark document (or a freshly generated
-//! `--candidate` file) against the committed history and fails when a
-//! headline throughput key regressed past the noise tolerance.
+//! Perf-regression gate over perfbench results, run from the repository
+//! root (the rules are in [`bfbp_bench::gate`]):
 //!
 //! ```sh
-//! bench_check                                 # newest committed vs history
-//! bench_check --candidate /tmp/b7/BENCH_7.json  # fresh run vs history
-//! bench_check --dir . --tolerance 0.7
+//! bench_check .bench_out/result-paper-sweep-seed1-trace0.json \
+//!             .bench_out/result-file-baselines-seed1-trace0.json
 //! ```
 //!
-//! Headline keys (`replay_records_per_sec`, `streamed_records_per_sec`,
-//! `served_decisions_per_sec`, `tune_configs_per_sec`) are gated at
-//! `--tolerance` (default 0.7× — single-core CI runs vary ±10–15%).
-//! Different benches carry different keys (BENCH_6 measures offline
-//! replay, BENCH_7 online serving, BENCH_8 autotuning), so each key is
-//! compared between its two *newest carriers* — walking back through
-//! the history, starting at the document under test — and a key with a
-//! single carrier (or none) is reported but not gated, never silently
-//! passed as vacuous. Because the walk-back is per key, committing a
-//! new bench that measures something else never retires an old gate. When the document and some
-//! baseline both carry a batched-vs-per-record `matrix`, each
-//! predictor's *effective* rate — the better of its two modes, which
-//! is what `Simulation::run` actually picks from the capability
-//! descriptor's batch preference — is gated at half the headline
-//! tolerance, loose enough for small-sample noise but tight enough to
-//! catch a kernel that silently fell off a cliff.
+//! Exits non-zero when any result fails a rule or cannot be compared.
 
-use std::collections::BTreeMap;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::process::ExitCode;
 
-use bfbp_sim::forensics::{parse_json, JsonValue};
-
-const HEADLINE_KEYS: [&str; 4] = [
-    "replay_records_per_sec",
-    "streamed_records_per_sec",
-    "served_decisions_per_sec",
-    "tune_configs_per_sec",
-];
+use bfbp_bench::gate::{check, Status};
 
 fn main() -> ExitCode {
-    let mut dir = PathBuf::from(".");
-    let mut tolerance = 0.7f64;
-    let mut candidate: Option<PathBuf> = None;
-
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--dir" => match args.next() {
-                Some(d) => dir = d.into(),
-                None => return usage("--dir needs a directory"),
-            },
-            "--tolerance" => match args.next().and_then(|t| t.parse::<f64>().ok()) {
-                Some(t) if t > 0.0 && t <= 1.0 => tolerance = t,
-                _ => return usage("--tolerance needs a factor in (0, 1]"),
-            },
-            "--candidate" => match args.next() {
-                Some(p) => candidate = Some(p.into()),
-                None => return usage("--candidate needs a file"),
-            },
-            other => return usage(&format!("unknown argument {other:?}")),
-        }
+    let results: Vec<String> = std::env::args().skip(1).collect();
+    if results.is_empty() || results.iter().any(|r| r.starts_with('-')) {
+        eprintln!("usage: bench_check RESULT.json... (from the repository root; no flags)");
+        return ExitCode::FAILURE;
     }
-
-    let mut committed = match committed_benches(&dir) {
-        Ok(v) => v,
-        Err(e) => {
-            eprintln!("error: {}: {e}", dir.display());
-            return ExitCode::FAILURE;
-        }
-    };
-    // The document under test, plus its history: every committed bench
-    // older than it, newest first, for per-key walk-back.
-    let new_path = match &candidate {
-        Some(fresh) => {
-            if committed.is_empty() {
-                eprintln!("error: no committed BENCH_*.json in {}", dir.display());
-                return ExitCode::FAILURE;
+    let mut ok = true;
+    for result in &results {
+        match check(Path::new("."), Path::new(result)) {
+            Ok((baseline, findings)) => {
+                println!("bench_check: {result} vs {}", baseline.display());
+                for (status, line) in &findings {
+                    println!("  {:<5} {line}", format!("{status:?}"));
+                    ok &= *status != Status::Fail;
+                }
             }
-            fresh.clone()
-        }
-        None => {
-            let Some((_, newest)) = committed.pop() else {
-                eprintln!("error: no BENCH_*.json in {}", dir.display());
-                return ExitCode::FAILURE;
-            };
-            if committed.is_empty() {
-                eprintln!(
-                    "only one BENCH_*.json in {} — nothing to compare against",
-                    dir.display()
-                );
-                return ExitCode::SUCCESS;
-            }
-            newest
-        }
-    };
-    let new_doc = match load(&new_path) {
-        Ok(doc) => doc,
-        Err(e) => {
-            eprintln!("error: {}: {e}", new_path.display());
-            return ExitCode::FAILURE;
-        }
-    };
-    let mut history: Vec<(PathBuf, JsonValue)> = Vec::new();
-    for (_, path) in committed.into_iter().rev() {
-        match load(&path) {
-            Ok(doc) => history.push((path, doc)),
             Err(e) => {
-                eprintln!("error: {}: {e}", path.display());
-                return ExitCode::FAILURE;
+                eprintln!("error: {result}: {e}");
+                ok = false;
             }
         }
     }
-    eprintln!(
-        "bench_check: {} vs {}-document history (tolerance {tolerance:.2})",
-        new_path.display(),
-        history.len()
-    );
-
-    let mut failures = 0;
-    let mut compared = 0u32;
-    for key in HEADLINE_KEYS {
-        // Walk back to the newest document carrying this key — benches
-        // measure different things (replay vs serving vs tuning), so
-        // the newest overall document rarely carries every key. When
-        // the document under test lacks a key, the key's two newest
-        // carriers are still gated against each other, so adding a new
-        // bench never silently retires an old gate.
-        let mut carriers = std::iter::once((&new_path, &new_doc))
-            .chain(history.iter().map(|(path, doc)| (path, doc)))
-            .filter_map(|(path, doc)| doc.get(key).and_then(JsonValue::as_f64).map(|v| (path, v)));
-        match (carriers.next(), carriers.next()) {
-            (Some((new_carrier, new)), Some((old_carrier, old))) => {
-                eprintln!(
-                    "  {key}: {} vs baseline {}",
-                    new_carrier.display(),
-                    old_carrier.display()
-                );
-                check(key, new, old, tolerance, &mut failures);
-                compared += 1;
-            }
-            (Some((only, _)), None) => {
-                eprintln!(
-                    "  note  {key}: only {} carries it — no second carrier to gate against",
-                    only.display()
-                );
-            }
-            (None, _) => {}
-        }
-    }
-    if compared == 0 {
-        eprintln!("  note  no headline key has a baseline — nothing gated");
-    }
-
-    // Matrix gate: per-predictor effective (best-mode) rate, at half
-    // the headline tolerance — 20k-record samples are noisier. Walks
-    // back to the newest older document with a matrix.
-    let matrix_tolerance = tolerance * 0.5;
-    let new_matrix = matrix_rates(&new_doc);
-    let old_matrix = history
-        .iter()
-        .map(|(_, doc)| matrix_rates(doc))
-        .find(|rates| !rates.is_empty())
-        .unwrap_or_default();
-    for (name, new) in &new_matrix {
-        if let Some(old) = old_matrix.get(name) {
-            check(
-                &format!("matrix:{name}"),
-                *new,
-                *old,
-                matrix_tolerance,
-                &mut failures,
-            );
-        }
-    }
-
-    if failures > 0 {
-        eprintln!("bench_check: {failures} regression(s)");
-        ExitCode::FAILURE
-    } else {
-        eprintln!("bench_check: ok");
+    println!("bench_check: {}", if ok { "ok" } else { "FAILED" });
+    if ok {
         ExitCode::SUCCESS
-    }
-}
-
-fn check(key: &str, new: f64, old: f64, tolerance: f64, failures: &mut u32) {
-    if new >= tolerance * old {
-        eprintln!(
-            "  ok    {key}: {new:.0} vs {old:.0} ({:+.1}%)",
-            pct(new, old)
-        );
     } else {
-        eprintln!(
-            "  FAIL  {key}: {new:.0} vs {old:.0} ({:+.1}%, floor {:.0})",
-            pct(new, old),
-            tolerance * old
-        );
-        *failures += 1;
+        ExitCode::FAILURE
     }
-}
-
-fn pct(new: f64, old: f64) -> f64 {
-    (new / old - 1.0) * 100.0
-}
-
-/// Every committed `BENCH_<n>.json` in `dir`, sorted ascending by `n`
-/// (so `pop()` yields the newest).
-fn committed_benches(dir: &Path) -> Result<Vec<(u64, PathBuf)>, String> {
-    let mut found = Vec::new();
-    for entry in std::fs::read_dir(dir).map_err(|e| e.to_string())? {
-        let path = entry.map_err(|e| e.to_string())?.path();
-        let Some(name) = path.file_name().and_then(|n| n.to_str()) else {
-            continue;
-        };
-        if let Some(n) = name
-            .strip_prefix("BENCH_")
-            .and_then(|rest| rest.strip_suffix(".json"))
-            .and_then(|digits| digits.parse::<u64>().ok())
-        {
-            found.push((n, path));
-        }
-    }
-    found.sort();
-    Ok(found)
-}
-
-fn load(path: &Path) -> Result<JsonValue, String> {
-    let text = std::fs::read_to_string(path).map_err(|e| e.to_string())?;
-    let doc = parse_json(&text).map_err(|e| e.to_string())?;
-    match doc.get("schema").and_then(JsonValue::as_str) {
-        Some("bfbp-bench/1") => Ok(doc),
-        Some(other) => Err(format!("unexpected schema {other:?}")),
-        None => Err("missing \"schema\"".to_owned()),
-    }
-}
-
-/// Per-predictor effective rate from a document's `matrix` array: the
-/// better of batched and per-record, matching what the simulation's
-/// capability-based batch routing achieves in practice.
-fn matrix_rates(doc: &JsonValue) -> BTreeMap<String, f64> {
-    let mut rates = BTreeMap::new();
-    let Some(rows) = doc.get("matrix").and_then(JsonValue::as_arr) else {
-        return rates;
-    };
-    for row in rows {
-        let Some(name) = row.get("predictor").and_then(JsonValue::as_str) else {
-            continue;
-        };
-        let batched = row
-            .get("batched_records_per_sec")
-            .and_then(JsonValue::as_f64)
-            .unwrap_or(0.0);
-        let per_record = row
-            .get("per_record_records_per_sec")
-            .and_then(JsonValue::as_f64)
-            .unwrap_or(0.0);
-        rates.insert(name.to_owned(), batched.max(per_record));
-    }
-    rates
-}
-
-fn usage(err: &str) -> ExitCode {
-    eprintln!("error: {err}");
-    eprintln!("usage: bench_check [--dir DIR] [--tolerance F] [--candidate FILE]");
-    ExitCode::FAILURE
 }

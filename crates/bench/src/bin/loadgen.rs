@@ -7,8 +7,7 @@
 //!
 //! ```sh
 //! loadgen --addr HOST:PORT [--connections N] [--batch N]
-//!         [--spec SPEC] [--trace NAME]... [--records N]
-//!         [--bench-out PATH] [--shutdown]
+//!         [--spec SPEC] [--trace NAME]... [--records N] [--shutdown]
 //!         [--trace-cache|--no-trace-cache]
 //! ```
 //!
@@ -23,12 +22,9 @@
 //! exit code is non-zero when any session's counters disagree with the
 //! offline simulation.
 //!
-//! `--bench-out` writes a `bfbp-bench/1` document whose headline key is
-//! `served_decisions_per_sec` (conditional predictions served per
-//! wall-clock second, all connections combined); `bench_check` gates
-//! it against the committed baselines. `--shutdown` sends a graceful
-//! `SHUTDOWN` frame after the run so the server persists its sessions
-//! and exits.
+//! The run reports served decisions per wall-clock second, all
+//! connections combined. `--shutdown` sends a graceful `SHUTDOWN` frame
+//! after the run so the server persists its sessions and exits.
 
 use std::process::ExitCode;
 use std::time::{Duration, Instant};
@@ -54,7 +50,6 @@ fn main() -> ExitCode {
     let mut spec_text = "bf-tage".to_owned();
     let mut trace_names: Vec<String> = Vec::new();
     let mut records: Option<usize> = None;
-    let mut bench_out: Option<std::path::PathBuf> = None;
     let mut shutdown = false;
 
     let mut args = std::env::args().skip(1);
@@ -88,10 +83,6 @@ fn main() -> ExitCode {
             "--records" => match args.next().and_then(|v| v.parse().ok()) {
                 Some(n) if n > 0 => records = Some(n),
                 _ => return usage("--records needs a positive count"),
-            },
-            "--bench-out" => match args.next() {
-                Some(p) => bench_out = Some(p.into()),
-                None => return usage("--bench-out needs a path"),
             },
             "--shutdown" => shutdown = true,
             other => return usage(&format!("unknown argument {other:?}")),
@@ -211,32 +202,6 @@ fn main() -> ExitCode {
         }
     }
 
-    if let Some(path) = &bench_out {
-        let bench = path
-            .file_stem()
-            .and_then(|s| s.to_str())
-            .unwrap_or("BENCH")
-            .to_owned();
-        let traces_json = trace_names
-            .iter()
-            .map(|t| format!("\"{t}\""))
-            .collect::<Vec<_>>()
-            .join(", ");
-        let doc = format!(
-            "{{\n  \"schema\": \"bfbp-bench/1\",\n  \"bench\": \"{bench}\",\n  \
-             \"description\": \"online serving: {connections} loopback connections driving {spec_text} through bfbp-serve\",\n  \
-             \"predictor\": \"{spec_text}\",\n  \"connections\": {connections},\n  \"batch\": {batch},\n  \
-             \"traces\": [{traces_json}],\n  \"records\": {total_records},\n  \"decisions\": {total_decisions},\n  \
-             \"elapsed_sec\": {elapsed:.3},\n  \"served_decisions_per_sec\": {decisions_per_sec:.0},\n  \
-             \"served_records_per_sec\": {records_per_sec:.0}\n}}\n"
-        );
-        if let Err(e) = std::fs::write(path, doc) {
-            eprintln!("error: cannot write {}: {e}", path.display());
-            return ExitCode::FAILURE;
-        }
-        println!("bench: {}", path.display());
-    }
-
     if failures > 0 {
         eprintln!("loadgen: {failures} failure(s)");
         ExitCode::FAILURE
@@ -333,8 +298,7 @@ fn usage(err: &str) -> ExitCode {
     eprintln!("error: {err}");
     eprintln!(
         "usage: loadgen --addr HOST:PORT [--connections N] [--batch N]\n\
-        \x20              [--spec SPEC] [--trace NAME]... [--records N]\n\
-        \x20              [--bench-out PATH] [--shutdown]\n\
+        \x20              [--spec SPEC] [--trace NAME]... [--records N] [--shutdown]\n\
         \x20              [--trace-cache|--no-trace-cache]"
     );
     ExitCode::FAILURE

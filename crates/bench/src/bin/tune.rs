@@ -6,14 +6,14 @@
 //! tune --space 'bf-isl-tage:tables=4..10,sc=true|false' \
 //!      --budget-kbits 512 [--eta 2] [--rungs 3] \
 //!      [--samples N] [--seed S] [--trace NAME]... \
-//!      [--state PATH] [--resume] [--frontier-out PATH] \
-//!      [--bench-out PATH] [common flags]
+//!      [--state PATH] [--resume] [--frontier-out PATH] [common flags]
 //! ```
 //!
 //! The space grammar is `name[:key=lo..hi[/step],key=a|b|c,...]`;
 //! unknown parameter keys are rejected with the predictor's accepted
 //! keys. Candidates whose storage exceeds `--budget-kbits` (kilobits,
-//! 1 kbit = 1024 bits) never cost a simulated record. Each rung runs
+//! 1 kbit = 1024 bits; below 2^54, so the bit count fits a `u64`)
+//! never cost a simulated record. Each rung runs
 //! as one batch on the parallel sweep engine, so `--threads`,
 //! `--retries`, `--timeout`, and `--events` apply per rung; trace
 //! lengths honor `BFBP_TRACE_SCALE` and the trace cache serves every
@@ -23,16 +23,13 @@
 //! (`bfbp-tune/1`, atomic tmp+rename + FNV-1a trailer); a killed run
 //! restarted with `--resume` re-enters the exact rung it died in, and
 //! the frontier it writes is byte-identical to an uninterrupted run.
-//!
-//! `--bench-out` additionally writes a `bfbp-bench/1` document with
-//! the run's `tune_configs_per_sec` throughput for `bench_check`.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
 
 use bfbp_bench::cli::{CommonArgs, FromCli};
 use bfbp_bench::{banner, scale};
-use bfbp_sim::engine::{json_f64, json_string, SweepOptions};
+use bfbp_sim::engine::SweepOptions;
 use bfbp_sim::tune::{tune, SearchSpace, TuneOptions};
 use bfbp_trace::synth::suite;
 
@@ -49,7 +46,6 @@ fn main() -> ExitCode {
     let mut state: Option<PathBuf> = None;
     let mut resume = false;
     let mut frontier_out = PathBuf::from("target/results/frontier.json");
-    let mut bench_out: Option<PathBuf> = None;
 
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
@@ -61,9 +57,9 @@ fn main() -> ExitCode {
                 Some(text) => space_text = Some(text),
                 None => return usage("--space needs a search-space spec"),
             },
-            "--budget-kbits" => match args.next().and_then(|v| v.parse().ok()) {
-                Some(n) if n > 0 => budget_kbits = Some(n),
-                _ => return usage("--budget-kbits needs a positive kilobit count"),
+            "--budget-kbits" => match args.next().and_then(|v| v.parse::<u64>().ok()) {
+                Some(n) if n > 0 && n.checked_mul(1024).is_some() => budget_kbits = Some(n),
+                _ => return usage("--budget-kbits needs a positive kilobit count below 2^54"),
             },
             "--eta" => match args.next().and_then(|v| v.parse().ok()) {
                 Some(n) if n >= 2 => eta = n,
@@ -93,10 +89,6 @@ fn main() -> ExitCode {
             "--frontier-out" => match args.next() {
                 Some(path) => frontier_out = path.into(),
                 None => return usage("--frontier-out needs a path"),
-            },
-            "--bench-out" => match args.next() {
-                Some(path) => bench_out = Some(path.into()),
-                None => return usage("--bench-out needs a path"),
             },
             other => match common.try_consume(other, &mut args) {
                 Ok(true) => {}
@@ -219,58 +211,7 @@ fn main() -> ExitCode {
         configs_per_sec,
         report.simulated_records() as f64 / wall.max(1e-9)
     );
-
-    if let Some(path) = bench_out {
-        let doc = bench_json(&space_text, budget_bits, &report, configs_per_sec);
-        if let Err(e) = std::fs::write(&path, doc) {
-            eprintln!("cannot write bench document: {e}");
-            return ExitCode::FAILURE;
-        }
-        println!("bench: {}", path.display());
-    }
     ExitCode::SUCCESS
-}
-
-/// A `bfbp-bench/1` document carrying the tuner's headline throughput
-/// and the frontier it found, for the `bench_check` walk-back.
-fn bench_json(
-    space: &str,
-    budget_bits: u64,
-    report: &bfbp_sim::tune::TuneReport,
-    configs_per_sec: f64,
-) -> String {
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str("  \"schema\": \"bfbp-bench/1\",\n");
-    out.push_str("  \"bench\": \"tune\",\n");
-    out.push_str(&format!("  \"space\": {},\n", json_string(space)));
-    out.push_str(&format!("  \"budget_bits\": {budget_bits},\n"));
-    out.push_str(&format!(
-        "  \"configs_evaluated\": {},\n",
-        report.configs_evaluated()
-    ));
-    out.push_str(&format!(
-        "  \"simulated_records\": {},\n",
-        report.simulated_records()
-    ));
-    out.push_str(&format!(
-        "  \"tune_configs_per_sec\": {},\n",
-        json_f64(configs_per_sec)
-    ));
-    out.push_str("  \"frontier\": [");
-    for (i, point) in report.frontier().iter().enumerate() {
-        if i > 0 {
-            out.push_str(", ");
-        }
-        out.push_str(&format!(
-            "{{\"params\": {}, \"total_bits\": {}, \"mean_mpki\": {}}}",
-            json_string(&point.params.summary()),
-            point.total_bits,
-            json_f64(point.mean_mpki)
-        ));
-    }
-    out.push_str("]\n}\n");
-    out
 }
 
 fn usage(err: &str) -> ExitCode {
@@ -279,7 +220,7 @@ fn usage(err: &str) -> ExitCode {
         "usage: tune --space SPACE --budget-kbits N [--eta N] [--rungs N]\n\
                      [--samples N] [--seed S] [--trace NAME]...\n\
                      [--state PATH] [--resume] [--frontier-out PATH]\n\
-                     [--bench-out PATH] [common flags]\n\
+                     [common flags]\n\
          space: name[:key=lo..hi[/step],key=a|b|c,key=value,...]\n\
          supported common flags: --threads --retries --backoff --timeout\n\
                      --events --metrics --progress --trace-cache|--no-trace-cache\n\

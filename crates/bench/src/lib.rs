@@ -9,6 +9,7 @@
 
 pub mod cli;
 pub mod experiments;
+pub mod gate;
 
 use bfbp_sim::simulate::SimResult;
 

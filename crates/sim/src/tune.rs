@@ -67,6 +67,10 @@ pub const TUNE_MAGIC: &[u8; 12] = b"bfbp-tune/1\n";
 /// Minimum records per trace at any rung — mirrors the floor the suite
 /// runner applies to scaled trace lengths, below which MPKI is noise.
 pub const MIN_RUNG_RECORDS: usize = 1000;
+/// Largest grid [`SearchSpace::validate`] accepts. [`tune`] prices every
+/// point before the first rung, so an unbounded space would exhaust
+/// memory before any work starts; the paper's sweeps need a few dozen.
+pub const MAX_CANDIDATES: u64 = 1 << 16;
 
 /// One axis of a [`SearchSpace`]: an inclusive integer range with a
 /// step, or an explicit list of typed values.
@@ -94,7 +98,9 @@ impl Dimension {
                 if lo > hi {
                     0
                 } else {
-                    ((hi - lo) / step + 1) as usize
+                    // `abs_diff` cannot overflow where `hi - lo` would.
+                    usize::try_from(hi.abs_diff(*lo) / step.unsigned_abs())
+                        .map_or(usize::MAX, |n| n.saturating_add(1))
                 }
             }
             Dimension::Choices(values) => values.len(),
@@ -176,7 +182,8 @@ impl SearchSpace {
     /// # Errors
     ///
     /// Returns [`TuneError::Space`] on an empty name, a malformed pair,
-    /// a non-integer or descending range, or a non-positive step.
+    /// a non-integer, descending or wider-than-`i64` range, or a
+    /// non-positive step.
     pub fn parse(text: &str) -> Result<Self, TuneError> {
         let (name, params_text) = match text.split_once(':') {
             Some((h, p)) => (h, Some(p)),
@@ -237,8 +244,9 @@ impl SearchSpace {
     }
 
     /// Validates the space against the registry: the predictor must be
-    /// registered and every axis key must be one of its declared
-    /// parameters. Surfaces the registry's typed errors (which name the
+    /// registered, every axis key must be one of its declared
+    /// parameters, and the grid may hold at most [`MAX_CANDIDATES`]
+    /// points. Surfaces the registry's typed errors (which name the
     /// accepted keys) as [`TuneError::Space`].
     pub fn validate(&self, registry: &PredictorRegistry) -> Result<(), TuneError> {
         let defaults = registry.defaults(&self.predictor).ok_or_else(|| {
@@ -257,6 +265,12 @@ impl SearchSpace {
             defaults
                 .merged_with(&probe)
                 .map_err(|e| TuneError::space(e.to_string()))?;
+        }
+        if self.cardinality() > MAX_CANDIDATES {
+            return Err(TuneError::space(format!(
+                "{} points exceed the limit of {MAX_CANDIDATES}",
+                self.cardinality()
+            )));
         }
         Ok(())
     }
@@ -340,6 +354,11 @@ fn parse_dimension(text: &str) -> Result<Dimension, TuneError> {
         }
         if lo > hi {
             return Err(TuneError::space(format!("range {lo}..{hi} is descending")));
+        }
+        if hi.checked_sub(lo).is_none() {
+            return Err(TuneError::space(format!(
+                "range {lo}..{hi} is wider than an i64"
+            )));
         }
         return Ok(Dimension::Range { lo, hi, step });
     }

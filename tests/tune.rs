@@ -8,7 +8,7 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use bfbp::sim::ckpt::{fnv1a, write_atomic, StateReader, StateWriter};
-use bfbp::sim::tune::{tune, SearchSpace, TuneError, TuneOptions, TUNE_MAGIC};
+use bfbp::sim::tune::{tune, SearchSpace, TuneError, TuneOptions, MAX_CANDIDATES, TUNE_MAGIC};
 use bfbp::trace::synth::suite::{self, TraceSpec};
 
 /// The committed tiny search space the acceptance criteria run on:
@@ -215,5 +215,46 @@ fn state_from_a_different_run_is_rejected_on_resume() {
         Err(TuneError::State { .. }) => {}
         Ok(_) => panic!("mismatched state accepted"),
         Err(e) => panic!("expected a state error, got {e}"),
+    }
+}
+
+#[test]
+fn ranges_wider_than_an_i64_are_rejected() {
+    match SearchSpace::parse("bf-tage:tables=-9223372036854775808..9223372036854775807") {
+        Err(TuneError::Space { .. }) => {}
+        other => panic!("expected a space error, got {other:?}"),
+    }
+    // The widest range that fits still counts its points without overflow.
+    let widest = SearchSpace::parse("bf-tage:tables=0..9223372036854775807").expect("fits an i64");
+    assert_eq!(widest.cardinality(), 1 << 63);
+    let built = SearchSpace::new("bf-tage").range("tables", i64::MIN, i64::MAX);
+    assert_eq!(built.cardinality(), u64::MAX);
+}
+
+#[test]
+fn oversized_grids_are_rejected_before_any_candidate_is_built() {
+    let registry = bfbp::default_registry();
+    let at_limit = SearchSpace::parse(&format!("bf-tage:tables=1..{MAX_CANDIDATES}")).unwrap();
+    at_limit.validate(&registry).expect("a grid at the limit");
+
+    let over = [
+        format!("bf-tage:tables=1..{}", MAX_CANDIDATES + 1),
+        "bf-tage:tables=1..100000000".to_owned(),
+        "gshare:log-size=1..300,hist=1..300".to_owned(),
+        "bf-tage:tables=0..9223372036854775807".to_owned(),
+    ];
+    for text in &over {
+        let space = SearchSpace::parse(text).expect("well-formed space");
+        assert!(space.cardinality() > MAX_CANDIDATES, "{text}");
+        match tune(
+            &registry,
+            &space,
+            OPEN_BUDGET_BITS,
+            &tiny_traces(),
+            &tiny_options(),
+        ) {
+            Err(TuneError::Space { .. }) => {}
+            other => panic!("{text}: expected a space error, got {:?}", other.err()),
+        }
     }
 }
