@@ -256,40 +256,27 @@ fn drive(
 }
 
 /// Streams `chunk[cursor..]` through the session as maximal same-kind
-/// runs capped at `batch` records — the same segmentation
-/// `Simulation::run` feeds the fused kernels — then closes the session
-/// and returns its final counters.
+/// runs capped at `batch` records — the segmentation `Simulation::run`
+/// uses — then closes the session and returns its final counters.
 fn run_session(
     client: &mut ServeClient,
     session: u64,
     chunk: &TraceChunk,
-    mut cursor: usize,
+    cursor: usize,
     batch: usize,
 ) -> Result<SessionStats, ServeError> {
-    let n = chunk.len();
-    let pcs = chunk.pcs();
-    let targets = chunk.targets();
-    let kinds = chunk.kinds();
-    let takens = chunk.takens();
-    let gaps = chunk.inst_gaps();
-    while cursor < n {
-        let conditional = kinds[cursor].is_conditional();
-        let mut j = cursor + 1;
-        while j < n && j - cursor < batch && kinds[j].is_conditional() == conditional {
-            j += 1;
-        }
+    for (i, j, conditional) in chunk.kind_runs(cursor..chunk.len(), batch) {
         if conditional {
             client.predict_batch(
                 session,
-                &pcs[cursor..j],
-                &targets[cursor..j],
-                &gaps[cursor..j],
-                &takens[cursor..j],
+                &chunk.pcs()[i..j],
+                &chunk.targets()[i..j],
+                &chunk.inst_gaps()[i..j],
+                &chunk.takens()[i..j],
             )?;
         } else {
-            client.outcome_batch(session, chunk, cursor, j)?;
+            client.outcome_batch(session, chunk, i, j)?;
         }
-        cursor = j;
     }
     client.close_session(session)
 }

@@ -10,13 +10,11 @@
 //! `isl-tage:tables=15,sc=false`, or `gshare:log-size=20,hist=18`.
 //! Pass `list` to print every registered predictor.
 
-use std::fs::File;
-use std::io::BufReader;
 use std::process::ExitCode;
 
 use bfbp_sim::registry::PredictorSpec;
-use bfbp_sim::simulate::simulate_stream;
-use bfbp_trace::format::TraceReader;
+use bfbp_sim::simulate::Simulation;
+use bfbp_trace::source::FileSource;
 
 fn main() -> ExitCode {
     let registry = bfbp::default_registry();
@@ -48,32 +46,22 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let file = match File::open(&path) {
-        Ok(f) => f,
+    // The file streams through the simulation a chunk at a time; it is
+    // never held in memory whole.
+    let mut source = match FileSource::open(&path) {
+        Ok(source) => source,
         Err(e) => {
-            eprintln!("cannot open {path}: {e}");
+            eprintln!("cannot read {path}: {e}");
             return ExitCode::FAILURE;
         }
     };
-    let reader = match TraceReader::new(BufReader::new(file)) {
-        Ok(r) => r,
+    let result = match Simulation::new(predictor.as_mut()).run(&mut source) {
+        Ok((result, _)) => result,
         Err(e) => {
-            eprintln!("cannot parse {path}: {e}");
+            eprintln!("trace error: {e}");
             return ExitCode::FAILURE;
         }
     };
-    let name = reader.name().to_owned();
-    let mut records = Vec::new();
-    for r in reader {
-        match r {
-            Ok(rec) => records.push(rec),
-            Err(e) => {
-                eprintln!("trace error: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
-    }
-    let result = simulate_stream(predictor.as_mut(), &name, records);
     println!("{result}");
     println!("storage: {:.2} KiB", predictor.storage().total_kib());
     ExitCode::SUCCESS

@@ -17,7 +17,6 @@ use bfbp_tage::config::TageConfig;
 use bfbp_tage::isl::{Isl, TageEngine};
 use bfbp_tage::tage::{ProviderStats, TageCore};
 use bfbp_trace::record::BranchRecord;
-use bfbp_trace::source::TraceChunk;
 
 use crate::bf_ghr::BfGhr;
 use crate::bst::{BranchStatus, Bst, Classifier};
@@ -154,32 +153,6 @@ impl ConditionalPredictor for BfTage {
 
     fn track_other(&mut self, record: &BranchRecord) {
         self.path.push(record.pc);
-    }
-
-    fn predict_batch(&mut self, pcs: &[u64], _targets: &[u64], takens: &[bool], miss: &mut [bool]) {
-        // Fused predict+update over a run of conditional branches:
-        // identical per-record semantics to `predict` + `update`, with
-        // one virtual dispatch for the whole run and every scratch
-        // buffer staying warm.
-        for i in 0..pcs.len() {
-            let pc = pcs[i];
-            let taken = takens[i];
-            self.compute_indices_tags(pc);
-            let guess = self.core.predict(pc, &self.idx_scratch, &self.tag_scratch);
-            miss[i] = guess != taken;
-            self.core.update(pc, taken);
-            let status = self.classifier.commit(pc, taken);
-            self.ghr
-                .commit(Self::key_of(pc), taken, status == BranchStatus::NonBiased);
-            self.path.push(pc);
-        }
-    }
-
-    fn update_batch(&mut self, chunk: &TraceChunk, start: usize, end: usize) {
-        // Non-conditional transfers only feed the path history.
-        for &pc in &chunk.pcs()[start..end] {
-            self.path.push(pc);
-        }
     }
 
     fn storage(&self) -> StorageBreakdown {

@@ -112,14 +112,6 @@ impl ConditionalPredictor for Bimodal {
         })
     }
 
-    fn prefers_batch(&self) -> bool {
-        // The per-record work is one table read and one train; the
-        // chunk segmentation + miss-buffer machinery of the batched
-        // drive costs more than it saves (115M rec/s batched vs 238M
-        // per-record; CHANGES.md, PR 8 entry).
-        false
-    }
-
     fn checkpointing(&mut self) -> Option<&mut dyn Restorable> {
         Some(self)
     }

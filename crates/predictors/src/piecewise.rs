@@ -176,14 +176,6 @@ impl ConditionalPredictor for PiecewiseLinear {
         })
     }
 
-    fn prefers_batch(&self) -> bool {
-        // The per-record cost is dominated by the `history_len` hashed
-        // weight lookups; chunk segmentation adds overhead without
-        // amortising anything (1.7M rec/s batched vs 2.2M per-record;
-        // CHANGES.md, PR 8 entry).
-        false
-    }
-
     fn checkpointing(&mut self) -> Option<&mut dyn Restorable> {
         Some(self)
     }

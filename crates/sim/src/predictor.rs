@@ -71,10 +71,10 @@ impl Provenance {
 /// (`introspection`, `checkpointing`, `last_provenance`, `prefers_batch`),
 /// and call sites probed them ad hoc (`prefers_batch()`,
 /// `checkpointing().is_some()`, …). `PredictorCaps` replaces those
-/// probes: the simulation loop, the checkpoint engine, the registry
-/// listing, and the serve HELLO handshake all consult
-/// [`ConditionalPredictor::capabilities`] instead, and the individual
-/// hooks remain only as the *access paths* for each capability.
+/// probes: the checkpoint engine, the registry listing, and the serve
+/// HELLO handshake all consult [`ConditionalPredictor::capabilities`]
+/// instead, and the individual hooks remain only as the *access paths*
+/// for each capability.
 ///
 /// The descriptor is plain data so it can cross the wire: [`bits`] packs
 /// it into one byte for the `bfbp-wire/1` HELLO/OPEN_ACK frames and
@@ -84,10 +84,10 @@ impl Provenance {
 /// [`from_bits`]: PredictorCaps::from_bits
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct PredictorCaps {
-    /// The batch kernels beat the per-record loop; the simulation and
-    /// serving hot loops should route runs through
-    /// [`ConditionalPredictor::predict_batch`] /
-    /// [`ConditionalPredictor::update_batch`].
+    /// [`ConditionalPredictor::prefers_batch`]. Every registry predictor
+    /// sets it, and nothing picks a drive from it: the simulation and
+    /// serving loops drive every predictor through the batch calls. The
+    /// bit stays because the `bfbp-wire/1` caps byte carries it.
     pub batch_preferred: bool,
     /// [`ConditionalPredictor::checkpointing`] returns a live
     /// [`Restorable`]: mid-job snapshots and serve session persistence
@@ -149,7 +149,7 @@ impl PredictorCaps {
 
     /// Four-character flag string for table listings: `BCIP` with `-`
     /// for each absent capability (`B`atch, `C`heckpoint, `I`ntrospect,
-    /// `P`rovenance), e.g. `-CIP` for bimodal.
+    /// `P`rovenance), e.g. `BCIP` for bimodal.
     pub fn flags(self) -> String {
         let mut s = String::with_capacity(4);
         s.push(if self.batch_preferred { 'B' } else { '-' });
@@ -257,20 +257,16 @@ pub trait ConditionalPredictor: Send {
         None
     }
 
-    /// Whether this predictor's batch kernels actually beat the plain
-    /// per-record loop.
+    /// Whether this predictor prefers the batch calls
+    /// ([`predict_batch`], [`update_batch`]) to per-record ones.
     ///
-    /// Default: `true`. Trivial predictors (statics, bimodal,
-    /// piecewise-linear) whose per-record work is a handful of
-    /// instructions return `false`: for them the chunk segmentation,
-    /// miss-flag buffer, and separate accounting pass of the batched
-    /// drive cost more than the virtual calls they save, so the
-    /// simulation loop runs them through its single-pass per-record
-    /// drive instead. The two drives produce byte-identical results by
-    /// the [`predict_batch`] contract; this hook only picks the faster
-    /// one.
+    /// Default: `true`, and no registry predictor overrides it. The
+    /// simulation and serving loops drive every predictor through the
+    /// batch calls and never ask; the hook survives as the source of
+    /// [`PredictorCaps::batch_preferred`], which the wire carries.
     ///
     /// [`predict_batch`]: ConditionalPredictor::predict_batch
+    /// [`update_batch`]: ConditionalPredictor::update_batch
     fn prefers_batch(&self) -> bool {
         true
     }
@@ -366,10 +362,6 @@ impl ConditionalPredictor for StaticPredictor {
         Some(Provenance::of("static", self.taken))
     }
 
-    fn prefers_batch(&self) -> bool {
-        false
-    }
-
     fn checkpointing(&mut self) -> Option<&mut dyn Restorable> {
         Some(self)
     }
@@ -420,18 +412,18 @@ mod tests {
             boxed.last_provenance(),
             Some(Provenance::of("static", true))
         );
-        assert!(!boxed.prefers_batch());
+        assert!(boxed.prefers_batch());
     }
 
     #[test]
     fn capabilities_derive_from_hooks() {
         let mut s = StaticPredictor::always_taken();
         let caps = s.capabilities();
-        assert!(!caps.batch_preferred);
+        assert!(caps.batch_preferred);
         assert!(caps.checkpointable);
         assert!(!caps.introspectable);
         assert!(caps.provenance);
-        assert_eq!(caps.flags(), "-C-P");
+        assert_eq!(caps.flags(), "BC-P");
     }
 
     #[test]

@@ -692,9 +692,16 @@ mod tests {
     fn registry_probes_capabilities() {
         let registry = PredictorRegistry::with_builtins();
         let caps = registry.capabilities("static-taken").unwrap();
-        assert!(!caps.batch_preferred);
+        assert!(caps.batch_preferred);
         assert!(caps.checkpointable);
         assert!(caps.provenance);
+        assert_eq!(caps.flags(), "BC-P");
+        for name in registry.names() {
+            assert!(
+                registry.capabilities(name).unwrap().batch_preferred,
+                "{name}"
+            );
+        }
         assert!(registry.capabilities("no-such").is_err());
     }
 

@@ -46,7 +46,9 @@ use std::sync::{Arc, Mutex};
 
 use bfbp_trace::source::TraceChunk;
 
-use crate::ckpt::{quarantine_ckpt, read_ckpt_file, write_ckpt_file, StateReader, StateWriter};
+use crate::ckpt::{
+    quarantine_ckpt, read_ckpt_file, write_ckpt_file, StateReader, StateWriter, CKPT_MAGIC,
+};
 use crate::obs::{Event, EventJournal, Metrics};
 use crate::predictor::{ConditionalPredictor, PredictorCaps};
 use crate::registry::{PredictorRegistry, PredictorSpec};
@@ -231,7 +233,7 @@ impl SessionManager {
         w.u64(session.stats.conditional_branches);
         w.u64(session.stats.mispredictions);
         w.bytes(&state.into_bytes());
-        write_ckpt_file(&path, &w.into_bytes())?;
+        write_ckpt_file(&path, CKPT_MAGIC, &w.into_bytes())?;
         self.counters.ckpt_writes.fetch_add(1, Ordering::Relaxed);
         self.emit(
             Event::new("session_ckpt")
@@ -330,7 +332,7 @@ impl SessionManager {
     }
 
     fn restore_one(&self, path: &std::path::Path) -> Result<u64, String> {
-        let payload = read_ckpt_file(path).map_err(|e| e.to_string())?;
+        let payload = read_ckpt_file(path, CKPT_MAGIC).map_err(|e| e.to_string())?;
         let mut r = StateReader::new(&payload);
         let mut decode = || -> Result<(u64, String, SessionStats, Vec<u8>), String> {
             let id = r.u64().map_err(|e| e.to_string())?;

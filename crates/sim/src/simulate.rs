@@ -3,17 +3,18 @@
 //! The hot loop consumes structure-of-arrays [`TraceChunk`]s from any
 //! [`TraceSource`], so a simulation's working set is O(chunk) whether
 //! the trace is materialized, decoded from disk, or generated on the
-//! fly. Each chunk is segmented into maximal runs of same-kind records
-//! and handed to the predictor's batch kernels
-//! ([`ConditionalPredictor::predict_batch`] /
-//! [`ConditionalPredictor::update_batch`]); totals, interval windows,
-//! and observer callbacks are reconstructed from the per-record
-//! misprediction flags in a scalar post-pass, so batching never changes
-//! a single count. The [`Simulation`] builder is the one entry point.
+//! fly. Each chunk is split into maximal runs of same-kind records
+//! ([`TraceChunk::kind_runs`]): conditional runs go to
+//! [`ConditionalPredictor::predict_batch`], the others to
+//! [`ConditionalPredictor::update_batch`]. Totals, interval windows,
+//! and observer callbacks are then computed from the per-record
+//! misprediction flags in one scalar pass, so batching never changes a
+//! single count. There is one drive loop, whatever hooks a run
+//! installs; the [`Simulation`] builder is its one entry point.
 
 use std::fmt;
 
-use bfbp_trace::record::{BranchRecord, Trace};
+use bfbp_trace::record::Trace;
 use bfbp_trace::source::{ReplaySource, TraceChunk, TraceSource};
 use bfbp_trace::TraceFormatError;
 
@@ -356,11 +357,12 @@ impl<'a, P: ConditionalPredictor + ?Sized> Simulation<'a, P> {
     /// [`last_provenance`] sampled between predict and update for
     /// conditionals.
     ///
-    /// A recorded run drives the predictor per-record (provenance is
-    /// per-prediction scratch a fused batch kernel would overwrite), but
-    /// by the [`predict_batch`] contract the per-record and batched
-    /// drives are observationally identical — recording never changes a
-    /// count, a window, or an observation.
+    /// Provenance is per-prediction scratch that a batch kernel would
+    /// overwrite, so inside the same drive loop a recorded conditional
+    /// run calls `predict`, records, then `update` for each record. By
+    /// the [`predict_batch`] contract that is observationally identical
+    /// to the batch call: recording never changes a count, a window, or
+    /// an observation.
     ///
     /// [`last_provenance`]: ConditionalPredictor::last_provenance
     /// [`predict_batch`]: ConditionalPredictor::predict_batch
@@ -448,15 +450,7 @@ impl<'a, P: ConditionalPredictor + ?Sized> Simulation<'a, P> {
                 .map_or(u64::MAX, |n| (n + 1) * checkpoint_every)
         };
         let mut next_ckpt = next_ckpt_after(records_done);
-        // The batched drive needs exclusive use of the predictor's
-        // per-prediction scratch (fused kernels overwrite it every
-        // record), so a recorded run — which samples `last_provenance`
-        // between predict and update — always drives per-record. So do
-        // predictors whose capability descriptor declares no batch
-        // advantage. Both drives are observationally identical by the
-        // `predict_batch` contract.
-        let use_batch = recorder.is_none() && predictor.capabilities().batch_preferred;
-        let mut miss = vec![false; if use_batch { chunk_records } else { 0 }];
+        let mut miss = vec![false; chunk_records];
         loop {
             let n = source.fill_chunk(&mut chunk, chunk_records)?;
             if n == 0 {
@@ -476,144 +470,76 @@ impl<'a, P: ConditionalPredictor + ?Sized> Simulation<'a, P> {
             let kinds = &chunk.kinds()[..n];
             let takens = &chunk.takens()[..n];
             let gaps = &chunk.inst_gaps()[..n];
-            if use_batch {
-                if miss.len() < n {
-                    miss.resize(n, false);
-                }
-                // Drive the predictor over maximal same-kind runs: one
-                // (virtual) batch call per run instead of two per record.
-                // The fused predict+update kernel records each branch's
-                // misprediction flag; nothing downstream of the flags feeds
-                // back into the predictor, so the accounting can run as a
-                // separate scalar pass without changing any count.
-                let mut i = 0;
-                while i < n {
-                    let conditional = kinds[i].is_conditional();
-                    let mut j = i + 1;
-                    while j < n && kinds[j].is_conditional() == conditional {
-                        j += 1;
-                    }
-                    if conditional {
-                        predictor.predict_batch(
-                            &pcs[i..j],
-                            &targets[i..j],
-                            &takens[i..j],
-                            &mut miss[i..j],
-                        );
-                    } else {
-                        predictor.update_batch(&chunk, i, j);
-                    }
-                    i = j;
-                }
-                if interval_insts == 0 && observer.is_none() {
-                    // No windows and no observer: totals reduce to three
-                    // straight-line sums, amortized once per chunk.
-                    for i in 0..n {
-                        instructions += u64::from(gaps[i]) + 1;
-                        if kinds[i].is_conditional() {
-                            conditional_branches += 1;
-                            mispredictions += u64::from(miss[i]);
+            if miss.len() < n {
+                miss.resize(n, false);
+            }
+            let entry = |k: usize, predicted, provenance| FlightEntry {
+                index: records_done + k as u64,
+                pc: pcs[k],
+                kind: kinds[k],
+                predicted,
+                outcome: takens[k],
+                provenance,
+            };
+            // Drive the predictor over maximal same-kind runs: one
+            // (virtual) batch call per run instead of two per record. A
+            // recorder samples provenance between predict and update, so
+            // a recorded conditional run goes record by record.
+            for (i, j, conditional) in chunk.kind_runs(0..n, usize::MAX) {
+                if !conditional {
+                    if let Some(rec) = recorder.as_mut() {
+                        // Non-conditionals are never predicted; the entry
+                        // mirrors the committed direction and carries no
+                        // provenance.
+                        for (k, &taken) in (i..j).zip(&takens[i..j]) {
+                            rec.record(entry(k, taken, None));
                         }
+                    }
+                    predictor.update_batch(&chunk, i, j);
+                } else if let Some(rec) = recorder.as_mut() {
+                    for k in i..j {
+                        let guess = predictor.predict(pcs[k]);
+                        miss[k] = guess != takens[k];
+                        rec.record(entry(k, guess, predictor.last_provenance()));
+                        predictor.update(pcs[k], takens[k], targets[k]);
                     }
                 } else {
-                    for i in 0..n {
-                        let insts = u64::from(gaps[i]) + 1;
-                        instructions += insts;
-                        window.instructions += insts;
-                        if kinds[i].is_conditional() {
-                            conditional_branches += 1;
-                            window.conditional_branches += 1;
-                            if miss[i] {
-                                mispredictions += 1;
-                                window.mispredictions += 1;
-                            }
-                            if let Some(observe) = observer.as_mut() {
-                                observe(pcs[i], takens[i], miss[i]);
-                            }
-                        }
-                        // Interval windows close on exact record boundaries;
-                        // this check cannot move to the chunk boundary without
-                        // breaking byte-identity with the materialized path.
-                        if interval_insts > 0 && window.instructions >= interval_insts {
-                            intervals.push(window);
-                            window = IntervalPoint {
-                                instructions: 0,
-                                conditional_branches: 0,
-                                mispredictions: 0,
-                            };
-                        }
+                    predictor.predict_batch(
+                        &pcs[i..j],
+                        &targets[i..j],
+                        &takens[i..j],
+                        &mut miss[i..j],
+                    );
+                }
+            }
+            // Accounting from the miss flags. Nothing downstream of the
+            // flags feeds back into the predictor, so a separate pass
+            // changes no count.
+            for i in 0..n {
+                let insts = u64::from(gaps[i]) + 1;
+                instructions += insts;
+                window.instructions += insts;
+                if kinds[i].is_conditional() {
+                    conditional_branches += 1;
+                    window.conditional_branches += 1;
+                    if miss[i] {
+                        mispredictions += 1;
+                        window.mispredictions += 1;
+                    }
+                    if let Some(observe) = observer.as_mut() {
+                        observe(pcs[i], takens[i], miss[i]);
                     }
                 }
-            } else if interval_insts == 0 && observer.is_none() && recorder.is_none() {
-                // Per-record fast path (cheap predictors that declare no
-                // batch advantage): one pass, no miss buffer, no
-                // segmentation — the shape of `simulate_stream`.
-                for i in 0..n {
-                    instructions += u64::from(gaps[i]) + 1;
-                    if kinds[i].is_conditional() {
-                        conditional_branches += 1;
-                        let guess = predictor.predict(pcs[i]);
-                        mispredictions += u64::from(guess != takens[i]);
-                        predictor.update(pcs[i], takens[i], targets[i]);
-                    } else {
-                        predictor.track_other(&chunk.record(i));
-                    }
-                }
-            } else {
-                // Per-record full path: intervals, observer, and flight
-                // recorder in one pass. Provenance is sampled between
-                // predict and update, the only point where it is valid.
-                for i in 0..n {
-                    let insts = u64::from(gaps[i]) + 1;
-                    instructions += insts;
-                    window.instructions += insts;
-                    if kinds[i].is_conditional() {
-                        conditional_branches += 1;
-                        window.conditional_branches += 1;
-                        let guess = predictor.predict(pcs[i]);
-                        let missed = guess != takens[i];
-                        if let Some(rec) = recorder.as_mut() {
-                            rec.record(FlightEntry {
-                                index: records_done + i as u64,
-                                pc: pcs[i],
-                                kind: kinds[i],
-                                predicted: guess,
-                                outcome: takens[i],
-                                provenance: predictor.last_provenance(),
-                            });
-                        }
-                        predictor.update(pcs[i], takens[i], targets[i]);
-                        if missed {
-                            mispredictions += 1;
-                            window.mispredictions += 1;
-                        }
-                        if let Some(observe) = observer.as_mut() {
-                            observe(pcs[i], takens[i], missed);
-                        }
-                    } else {
-                        if let Some(rec) = recorder.as_mut() {
-                            // Non-conditionals are never predicted; the
-                            // entry mirrors the committed direction and
-                            // carries no provenance.
-                            rec.record(FlightEntry {
-                                index: records_done + i as u64,
-                                pc: pcs[i],
-                                kind: kinds[i],
-                                predicted: takens[i],
-                                outcome: takens[i],
-                                provenance: None,
-                            });
-                        }
-                        predictor.track_other(&chunk.record(i));
-                    }
-                    if interval_insts > 0 && window.instructions >= interval_insts {
-                        intervals.push(window);
-                        window = IntervalPoint {
-                            instructions: 0,
-                            conditional_branches: 0,
-                            mispredictions: 0,
-                        };
-                    }
+                // Interval windows close on exact record boundaries;
+                // this check cannot move to the chunk boundary without
+                // breaking byte-identity with the materialized path.
+                if interval_insts > 0 && window.instructions >= interval_insts {
+                    intervals.push(window);
+                    window = IntervalPoint {
+                        instructions: 0,
+                        conditional_branches: 0,
+                        mispredictions: 0,
+                    };
                 }
             }
             records_done += n as u64;
@@ -670,39 +596,6 @@ impl<'a, P: ConditionalPredictor + ?Sized> Simulation<'a, P> {
     }
 }
 
-/// Runs `predictor` over a stream of records without collecting a trace
-/// first; useful for direct-from-disk simulation via
-/// [`bfbp_trace::TraceReader`].
-pub fn simulate_stream<P, I>(predictor: &mut P, trace_name: &str, records: I) -> SimResult
-where
-    P: ConditionalPredictor + ?Sized,
-    I: IntoIterator<Item = BranchRecord>,
-{
-    let mut conditional_branches = 0u64;
-    let mut mispredictions = 0u64;
-    let mut instructions = 0u64;
-    for record in records {
-        instructions += record.instructions();
-        if record.kind.is_conditional() {
-            conditional_branches += 1;
-            let guess = predictor.predict(record.pc);
-            if guess != record.taken {
-                mispredictions += 1;
-            }
-            predictor.update(record.pc, record.taken, record.target);
-        } else {
-            predictor.track_other(&record);
-        }
-    }
-    SimResult {
-        trace_name: trace_name.to_owned(),
-        predictor_name: predictor.name().into_owned(),
-        conditional_branches,
-        mispredictions,
-        instructions,
-    }
-}
-
 /// Arithmetic-mean MPKI over a set of results — the aggregate the paper
 /// reports ("average (arithmetic mean) MPKI").
 ///
@@ -748,16 +641,6 @@ mod tests {
         let mut p = StaticPredictor::always_not_taken();
         let result = simulate(&mut p, &trace_tnt());
         assert_eq!(result.mispredictions(), 2);
-    }
-
-    #[test]
-    fn stream_and_trace_agree() {
-        let trace = trace_tnt();
-        let mut p1 = StaticPredictor::always_taken();
-        let mut p2 = StaticPredictor::always_taken();
-        let a = simulate(&mut p1, &trace);
-        let b = simulate_stream(&mut p2, "tnt", trace.records().iter().copied());
-        assert_eq!(a, b);
     }
 
     #[test]

@@ -16,7 +16,6 @@ use bfbp_sim::obs::{Metrics, PredictorIntrospect};
 use bfbp_sim::predictor::{ConditionalPredictor, Provenance};
 use bfbp_sim::storage::StorageBreakdown;
 use bfbp_trace::record::BranchRecord;
-use bfbp_trace::source::TraceChunk;
 
 use crate::config::TageConfig;
 use crate::table::TaggedTable;
@@ -566,27 +565,6 @@ impl ConditionalPredictor for Tage {
 
     fn track_other(&mut self, record: &BranchRecord) {
         self.path.push(record.pc);
-    }
-
-    fn predict_batch(&mut self, pcs: &[u64], _targets: &[u64], takens: &[bool], miss: &mut [bool]) {
-        // Fused non-virtual predict+update over the run; identical state
-        // transitions to the per-record default.
-        for i in 0..pcs.len() {
-            self.compute_indices_tags(pcs[i]);
-            let guess = self
-                .core
-                .predict(pcs[i], &self.idx_scratch, &self.tag_scratch);
-            miss[i] = guess != takens[i];
-            self.core.update(pcs[i], takens[i]);
-            self.history.push(takens[i]);
-            self.path.push(pcs[i]);
-        }
-    }
-
-    fn update_batch(&mut self, chunk: &TraceChunk, start: usize, end: usize) {
-        for &pc in &chunk.pcs()[start..end] {
-            self.path.push(pc);
-        }
     }
 
     fn storage(&self) -> StorageBreakdown {

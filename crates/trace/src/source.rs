@@ -20,6 +20,7 @@
 
 use std::fs::File;
 use std::io::Read;
+use std::ops::Range;
 use std::path::Path;
 
 use crate::format::{RecordSink, TraceFormatError, TraceReader};
@@ -126,6 +127,37 @@ impl TraceChunk {
     /// Non-branch instruction gaps, parallel to [`TraceChunk::pcs`].
     pub fn inst_gaps(&self) -> &[u32] {
         &self.inst_gap
+    }
+
+    /// Splits the records in `range` into maximal runs of same-kind
+    /// records, all conditional or all not, each cut to at most `max_len`
+    /// records. Yields `(start, end, conditional)` in commit order.
+    ///
+    /// The one segmentation of a chunk: the simulation loop drives each
+    /// run through one batch call, and serving clients send each run as
+    /// one request.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `range.end > len()`.
+    pub fn kind_runs(
+        &self,
+        range: Range<usize>,
+        max_len: usize,
+    ) -> impl Iterator<Item = (usize, usize, bool)> + '_ {
+        let kinds = &self.kind[..range.end];
+        let max_len = max_len.max(1);
+        let mut i = range.start;
+        std::iter::from_fn(move || {
+            let start = i;
+            let conditional = kinds.get(start)?.is_conditional();
+            let end = kinds.len().min(start.saturating_add(max_len));
+            i += 1;
+            while i < end && kinds[i].is_conditional() == conditional {
+                i += 1;
+            }
+            Some((start, i, conditional))
+        })
     }
 
     /// Reassembles record `i` from the arrays.
@@ -460,5 +492,35 @@ mod tests {
         assert_eq!(chunk.record(1).kind, BranchKind::Call);
         chunk.clear();
         assert!(chunk.is_empty());
+    }
+
+    #[test]
+    fn kind_runs_are_maximal_capped_and_cover_the_range() {
+        let mut chunk = TraceChunk::new();
+        let call = BranchRecord::uncond(0x20, 0x90, BranchKind::Call, 0);
+        let ret = BranchRecord::uncond(0x24, 0x94, BranchKind::Return, 0);
+        let cond = BranchRecord::cond(0x10, 0x50, true, 0);
+        for r in [cond, cond, cond, call, ret, cond, call] {
+            chunk.push(&r);
+        }
+        let runs = |range, max| chunk.kind_runs(range, max).collect::<Vec<_>>();
+        assert_eq!(
+            runs(0..7, usize::MAX),
+            [(0, 3, true), (3, 5, false), (5, 6, true), (6, 7, false)]
+        );
+        assert_eq!(
+            runs(0..7, 2),
+            [
+                (0, 2, true),
+                (2, 3, true),
+                (3, 5, false),
+                (5, 6, true),
+                (6, 7, false)
+            ]
+        );
+        assert_eq!(runs(1..4, usize::MAX), [(1, 3, true), (3, 4, false)]);
+        // A zero cap still makes progress, one record a run.
+        assert_eq!(runs(0..2, 0), [(0, 1, true), (1, 2, true)]);
+        assert_eq!(runs(4..4, 8), []);
     }
 }

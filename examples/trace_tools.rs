@@ -3,7 +3,7 @@
 //!
 //! This is the harness you would use to run the predictors on your own
 //! recorded traces: produce `BranchRecord`s, write them with
-//! `TraceWriter`, and feed them back through `simulate_stream`.
+//! `TraceWriter`, and simulate the file through a `FileSource`.
 //!
 //! ```sh
 //! cargo run --release --example trace_tools
@@ -14,8 +14,9 @@ use std::fs::File;
 use std::io::{BufReader, BufWriter};
 
 use bfbp::core::bf_tage::bf_isl_tage;
-use bfbp::sim::simulate::simulate_stream;
+use bfbp::sim::simulate::Simulation;
 use bfbp::trace::format::{TraceReader, TraceWriter};
+use bfbp::trace::source::FileSource;
 use bfbp::trace::stats::{BiasProfile, TraceMix};
 use bfbp::trace::synth::suite;
 use bfbp::trace::BranchKind;
@@ -55,7 +56,7 @@ fn main() -> Result<(), Box<dyn Error>> {
         profile.static_biased_percent(),
         profile.dynamic_biased_percent()
     );
-    let mix = TraceMix::measure(&bfbp::trace::Trace::new("t", records.clone()));
+    let mix = TraceMix::measure(&bfbp::trace::Trace::new("t", records));
     println!(
         "mix: {} conditionals, {} calls, {} returns, {} instructions",
         mix.count(BranchKind::CondDirect),
@@ -64,9 +65,9 @@ fn main() -> Result<(), Box<dyn Error>> {
         mix.instructions()
     );
 
-    // 3. Simulate straight from the record stream.
+    // 3. Simulate straight from the file, one chunk at a time.
     let mut predictor = bf_isl_tage(10);
-    let result = simulate_stream(&mut predictor, "SERV3", records);
+    let (result, _) = Simulation::new(&mut predictor).run(&mut FileSource::open(&path)?)?;
     println!("{result}");
 
     std::fs::remove_file(&path)?;

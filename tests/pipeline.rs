@@ -10,9 +10,10 @@ use bfbp::predictors::piecewise::PiecewiseLinear;
 use bfbp::sim::predictor::ConditionalPredictor;
 use bfbp::sim::registry::PredictorSpec;
 use bfbp::sim::runner::SuiteRunner;
-use bfbp::sim::simulate::{simulate, simulate_stream};
+use bfbp::sim::simulate::{simulate, Simulation};
 use bfbp::tage::isl::isl_tage;
 use bfbp::trace::format::{read_trace, write_trace};
+use bfbp::trace::source::FileSource;
 use bfbp::trace::synth::suite;
 
 #[test]
@@ -31,10 +32,9 @@ fn generate_write_read_simulate_roundtrip() {
     let mut p1 = BfNeural::budget_64kb();
     let mut p2 = BfNeural::budget_64kb();
     let r1 = simulate(&mut p1, &trace);
-    let r2 = simulate_stream(&mut p2, trace.name(), back.into_records());
-    assert_eq!(r1.mispredictions(), r2.mispredictions());
-    assert_eq!(r1.conditional_branches(), r2.conditional_branches());
-    assert_eq!(r1.instructions(), r2.instructions());
+    let mut source = FileSource::from_reader(Cursor::new(&buf)).expect("header");
+    let (r2, _) = Simulation::new(&mut p2).run(&mut source).expect("decode");
+    assert_eq!(r1, r2);
 }
 
 #[test]

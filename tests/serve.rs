@@ -88,8 +88,8 @@ fn with_server<T>(
 }
 
 /// Streams `chunk[cursor..]` through the session as maximal same-kind
-/// runs capped at `batch`, mirroring the simulation's segmentation,
-/// then closes the session and returns its final counters.
+/// runs capped at `batch`, the simulation's segmentation, then closes
+/// the session and returns its final counters.
 fn drive(
     client: &mut ServeClient,
     session: u64,
@@ -110,23 +110,17 @@ fn stream(
     until: usize,
     batch: usize,
 ) -> Result<(), ServeError> {
-    let kinds = chunk.kinds();
-    while *cursor < until {
-        let conditional = kinds[*cursor].is_conditional();
-        let mut j = *cursor + 1;
-        while j < until && j - *cursor < batch && kinds[j].is_conditional() == conditional {
-            j += 1;
-        }
+    for (i, j, conditional) in chunk.kind_runs(*cursor..until, batch) {
         if conditional {
             client.predict_batch(
                 session,
-                &chunk.pcs()[*cursor..j],
-                &chunk.targets()[*cursor..j],
-                &chunk.inst_gaps()[*cursor..j],
-                &chunk.takens()[*cursor..j],
+                &chunk.pcs()[i..j],
+                &chunk.targets()[i..j],
+                &chunk.inst_gaps()[i..j],
+                &chunk.takens()[i..j],
             )?;
         } else {
-            client.outcome_batch(session, chunk, *cursor, j)?;
+            client.outcome_batch(session, chunk, i, j)?;
         }
         *cursor = j;
     }
@@ -165,31 +159,23 @@ fn predictions_on_the_wire_match_the_servers_accounting() {
         let mut client = ServeClient::connect(addr).expect("connect");
         client.hello("serve-tests").expect("hello");
         client.open(7, "bf-tage").expect("open");
-        let kinds = chunk.kinds();
         let mut flagged = 0u64;
-        let mut cursor = 0usize;
-        while cursor < chunk.len() {
-            let conditional = kinds[cursor].is_conditional();
-            let mut j = cursor + 1;
-            while j < chunk.len() && j - cursor < 256 && kinds[j].is_conditional() == conditional {
-                j += 1;
-            }
+        for (i, j, conditional) in chunk.kind_runs(0..chunk.len(), 256) {
             if conditional {
                 let miss = client
                     .predict_batch(
                         7,
-                        &chunk.pcs()[cursor..j],
-                        &chunk.targets()[cursor..j],
-                        &chunk.inst_gaps()[cursor..j],
-                        &chunk.takens()[cursor..j],
+                        &chunk.pcs()[i..j],
+                        &chunk.targets()[i..j],
+                        &chunk.inst_gaps()[i..j],
+                        &chunk.takens()[i..j],
                     )
                     .expect("predict");
-                assert_eq!(miss.len(), j - cursor, "one flag per record");
+                assert_eq!(miss.len(), j - i, "one flag per record");
                 flagged += miss.iter().filter(|&&m| m).count() as u64;
             } else {
-                client.outcome_batch(7, &chunk, cursor, j).expect("outcome");
+                client.outcome_batch(7, &chunk, i, j).expect("outcome");
             }
-            cursor = j;
         }
         let stats = client.close_session(7).expect("close");
         assert_eq!(stats.mispredictions, flagged);
