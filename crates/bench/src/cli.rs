@@ -27,7 +27,7 @@ common flags:
   --threads N          worker threads (0 = all cores)
   --retries N          re-attempts per failed job
   --backoff MS         delay between retry attempts
-  --timeout MS         per-job wall-clock budget
+  --timeout MS         per-job wall-clock budget (0 = none)
   --journal PATH       checkpoint completed jobs to a journal
   --resume PATH        restore from a journal, re-running only missing
                        or failed jobs (keeps appending to it unless
@@ -172,7 +172,8 @@ impl CommonArgs {
             options.retry.backoff = Duration::from_millis(ms);
         }
         if let Some(ms) = self.timeout_ms {
-            options.timeout = Some(Duration::from_millis(ms));
+            // 0 means no timeout, as in `BFBP_SWEEP_TIMEOUT_MS`.
+            options.timeout = (ms > 0).then(|| Duration::from_millis(ms));
         }
         if let Some(path) = &self.resume {
             options.resume_from = Some(path.clone());
@@ -393,6 +394,19 @@ mod tests {
         assert_eq!(options.retry.backoff, Duration::from_millis(25));
         assert_eq!(options.timeout, None);
         assert!(!options.metrics);
+    }
+
+    #[test]
+    fn timeout_zero_means_no_timeout() {
+        let (common, _) = consume_all(&["--timeout", "250"]).unwrap();
+        let mut options = SweepOptions::default();
+        common.apply_to(&mut options);
+        assert_eq!(options.timeout, Some(Duration::from_millis(250)));
+        // `--timeout 0` clears a timeout the environment set, rather
+        // than giving every job a zero budget.
+        let (common, _) = consume_all(&["--timeout", "0"]).unwrap();
+        common.apply_to(&mut options);
+        assert_eq!(options.timeout, None);
     }
 
     #[test]
