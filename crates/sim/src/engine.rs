@@ -17,17 +17,16 @@
 //! * a panicking predictor (or trace) is caught with `catch_unwind` and
 //!   becomes a structured [`JobStatus::Failed`] for that one job;
 //! * a [`RetryPolicy`] re-attempts failed jobs with a fixed backoff;
-//! * an optional per-job wall-clock timeout is enforced by a watchdog
-//!   thread that raises a cancellation flag; the simulation loop polls
-//!   it at [`crate::simulate::CANCEL_CHECK_RECORDS`]-record boundaries
-//!   and the job reports [`JobStatus::TimedOut`] while the pool moves
-//!   on;
+//! * an optional per-job wall-clock timeout gives each job a deadline,
+//!   checked every
+//!   [`CANCEL_CHECK_RECORDS`](crate::simulate::CANCEL_CHECK_RECORDS)
+//!   records and every 2 ms of backoff or injected delay; a job past it
+//!   reports [`JobStatus::TimedOut`] while the pool moves on;
 //! * a trace that fails validation on load ([`TraceInput::Unavailable`])
 //!   quarantines exactly the jobs that needed it;
-//! * completed jobs can be checkpointed to a [`journal`](crate::journal)
-//!   file as they finish, and a later sweep with
-//!   [`SweepOptions::resume_from`] restores them and re-runs only the
-//!   missing or failed jobs;
+//! * completed jobs can be checkpointed to a [`journal`] file as they
+//!   finish, and a later sweep with [`SweepOptions::resume_from`]
+//!   restores them and re-runs only the missing or failed jobs;
 //! * with [`SweepOptions::with_checkpoints`], every in-flight job
 //!   additionally snapshots its full predictor + accounting state to a
 //!   `bfbp-ckpt/1` file every N records, so a crash (or an injected
@@ -41,11 +40,10 @@
 //!   is exercised by tests.
 //!
 //! Determinism: jobs are completely independent (fresh predictor, shared
-//! immutable trace) and results are reassembled in job-index order, so a
-//! parallel sweep produces **byte-identical** result documents to a
-//! serial one — [`SweepReport::results_json`] is independent of thread
-//! count and scheduling. Timing lives in a separate JSON section that
-//! [`SweepReport::to_json`] appends.
+//! immutable trace) and results are reassembled in job-index order, so
+//! [`SweepReport::results_json`] is **byte-identical** at every thread
+//! count and schedule; one worker is simply a pool of one. Timing lives
+//! in a separate JSON section that [`SweepReport::to_json`] appends.
 //!
 //! ```
 //! use bfbp_sim::engine::{self, SweepOptions};
@@ -67,15 +65,12 @@ use std::fmt;
 use std::io;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
-use bfbp_trace::cache::CacheStatus;
 use bfbp_trace::format::{corrupt, read_trace, read_trace_file};
 use bfbp_trace::record::{BranchRecord, Trace};
-use bfbp_trace::source::{FileSource, TraceChunk, TraceSource};
-use bfbp_trace::synth::suite::TraceSpec;
 
 use crate::ckpt::{self, JobCheckpoint, Restorable, SimCheckpoint, StateReader, StateWriter};
 use crate::fault::{Fault, FaultPlan};
@@ -127,9 +122,9 @@ pub struct SweepOptions {
     pub interval_insts: u64,
     /// Per-job retry policy for failed (not timed-out) attempts.
     pub retry: RetryPolicy,
-    /// Per-job wall-clock budget covering all attempts and backoff; the
-    /// watchdog marks overrunning jobs [`JobStatus::TimedOut`]. `None`
-    /// disables the watchdog.
+    /// Per-job wall-clock budget covering all attempts and backoff; a
+    /// job past it is cancelled at its next check and marked
+    /// [`JobStatus::TimedOut`]. `None` sets no budget.
     pub timeout: Option<Duration>,
     /// Deterministic fault injection (tests and chaos drills).
     pub fault_plan: Option<FaultPlan>,
@@ -196,7 +191,7 @@ impl SweepOptions {
         }
     }
 
-    /// A single-threaded sweep (the reference serial schedule).
+    /// A one-worker sweep.
     pub fn serial() -> Self {
         Self {
             threads: 1,
@@ -399,7 +394,7 @@ pub enum JobStatus {
         /// Human-readable failure description.
         error: String,
     },
-    /// The watchdog cancelled the job after its wall-clock budget.
+    /// The job ran past its wall-clock budget and was cancelled.
     TimedOut,
     /// The job was never attempted (fault plan or operator decision).
     Skipped,
@@ -473,7 +468,7 @@ pub struct RunSummary {
     pub ok: usize,
     /// Jobs that exhausted their attempts.
     pub failed: usize,
-    /// Jobs cancelled by the watchdog.
+    /// Jobs cancelled at their wall-clock deadline.
     pub timed_out: usize,
     /// Jobs never attempted.
     pub skipped: usize,
@@ -483,18 +478,13 @@ pub struct RunSummary {
     pub resumed: usize,
 }
 
-/// One trace column of a sweep matrix: a materialized trace, a
-/// streaming recipe, or a placeholder for a trace that failed
-/// validation on load, which quarantines exactly the jobs needing it
-/// instead of the whole run.
+/// One trace column of a sweep matrix: an in-memory trace, or a
+/// placeholder for a trace that failed validation on load, which
+/// quarantines exactly the jobs needing it instead of the whole run.
 #[derive(Debug, Clone)]
 pub enum TraceInput {
     /// A healthy, shared trace.
     Ready(Arc<Trace>),
-    /// A recipe for constructing a fresh per-job streaming source, so a
-    /// job's memory is O(chunk) instead of O(trace). Boxed: the recipe
-    /// (spec + knobs) is much larger than the other variants.
-    Streamed(Box<StreamedTrace>),
     /// A trace that could not be loaded; its jobs report
     /// [`JobStatus::Failed`] without being attempted.
     Unavailable {
@@ -505,111 +495,10 @@ pub enum TraceInput {
     },
 }
 
-/// Recipe behind [`TraceInput::Streamed`]: a suite spec plus record
-/// count, and optionally a cached BFBT file to decode in preference to
-/// regenerating. Each job opens its own source, so workers never share
-/// mutable trace state.
-#[derive(Debug, Clone)]
-pub struct StreamedTrace {
-    spec: TraceSpec,
-    n_records: usize,
-    file: Option<PathBuf>,
-}
-
-impl StreamedTrace {
-    /// A recipe that synthesizes `n_records` records of `spec` on the
-    /// fly for every job.
-    pub fn new(spec: TraceSpec, n_records: usize) -> Self {
-        Self {
-            spec,
-            n_records,
-            file: None,
-        }
-    }
-
-    /// Prefer chunk-decoding this BFBT file (typically a
-    /// [`bfbp_trace::cache::TraceCache`] entry) over regenerating; a
-    /// missing file falls back to synthesis reported as a
-    /// [`CacheStatus::Generated`] fetch, a present-but-corrupt one as
-    /// [`CacheStatus::Regenerated`].
-    pub fn with_file(mut self, path: impl Into<PathBuf>) -> Self {
-        self.file = Some(path.into());
-        self
-    }
-
-    /// The trace's display name.
-    pub fn name(&self) -> &str {
-        self.spec.name()
-    }
-
-    /// Record count every opened source delivers.
-    pub fn n_records(&self) -> usize {
-        self.n_records
-    }
-
-    /// Opens a fresh source positioned at the first record, with the
-    /// cache accounting of the open: `Hit` when the backing file
-    /// validated and will be decoded, `Generated` when a configured
-    /// file is simply missing, `Regenerated` when the file exists but
-    /// fails validation (torn or corrupt — the quarantine-and-
-    /// regenerate path [`bfbp_trace::cache::TraceCache::fetch`] takes),
-    /// `Bypassed` when no file was ever attached.
-    fn open_source(&self) -> (Box<dyn TraceSource>, CacheStatus) {
-        if let Some(path) = &self.file {
-            let existed = path.exists();
-            if self.validate_file(path) {
-                if let Ok(source) = FileSource::open(path) {
-                    return (Box::new(source), CacheStatus::Hit);
-                }
-            }
-            let status = if existed {
-                CacheStatus::Regenerated
-            } else {
-                CacheStatus::Generated
-            };
-            return (Box::new(self.spec.stream_len(self.n_records)), status);
-        }
-        (
-            Box::new(self.spec.stream_len(self.n_records)),
-            CacheStatus::Bypassed,
-        )
-    }
-
-    /// Pre-scans the backing file end to end — footer count, FNV
-    /// checksum, trace name, and record count against this recipe — in
-    /// constant memory. A torn entry must quarantine into regeneration
-    /// *before* any record reaches a predictor: `fill_chunk` surfacing
-    /// the corruption mid-simulation would fail the job instead of
-    /// falling back.
-    fn validate_file(&self, path: &std::path::Path) -> bool {
-        let Ok(mut probe) = FileSource::open(path) else {
-            return false;
-        };
-        if probe.name() != self.spec.name() {
-            return false;
-        }
-        let mut chunk = TraceChunk::new();
-        let mut total = 0usize;
-        loop {
-            match probe.fill_chunk(&mut chunk, 4096) {
-                Ok(0) => return total == self.n_records,
-                Ok(n) => total += n,
-                Err(_) => return false,
-            }
-        }
-    }
-}
-
 impl TraceInput {
     /// Wraps an in-memory trace.
     pub fn ready(trace: Trace) -> Self {
         TraceInput::Ready(Arc::new(trace))
-    }
-
-    /// Streams `n_records` records of a suite spec per job instead of
-    /// materializing the trace once.
-    pub fn streamed(spec: TraceSpec, n_records: usize) -> Self {
-        TraceInput::Streamed(Box::new(StreamedTrace::new(spec, n_records)))
     }
 
     /// Loads and validates a BFBT trace file; a corrupt or unreadable
@@ -634,7 +523,6 @@ impl TraceInput {
     pub fn name(&self) -> &str {
         match self {
             TraceInput::Ready(trace) => trace.name(),
-            TraceInput::Streamed(streamed) => streamed.name(),
             TraceInput::Unavailable { name, .. } => name,
         }
     }
@@ -643,7 +531,6 @@ impl TraceInput {
     pub fn n_records(&self) -> u64 {
         match self {
             TraceInput::Ready(trace) => trace.len() as u64,
-            TraceInput::Streamed(streamed) => streamed.n_records() as u64,
             TraceInput::Unavailable { .. } => 0,
         }
     }
@@ -1014,36 +901,28 @@ impl SweepReport {
 
 fn lock_or_recover<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
     // A worker that panicked inside a lock poisons it; the protected
-    // data (result slots, deadlines) is still structurally valid, so
+    // data (the result slots) is still structurally valid, so
     // recover instead of cascading the panic to every other worker.
     mutex.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// Cooperative cancellation signal handed to each job: raised by the
-/// watchdog thread (parallel runs) and double-checked against the
-/// deadline directly (covers serial runs and watchdog scheduling lag).
-struct CancelSignal<'a> {
-    flag: Option<&'a AtomicBool>,
+/// Cooperative cancellation of one job: its wall-clock deadline, which
+/// the simulation loop checks at every chunk boundary and
+/// [`cancellable_sleep`] every 2 ms.
+struct CancelSignal {
     deadline: Option<Instant>,
 }
 
-impl CancelSignal<'_> {
+impl CancelSignal {
     fn cancelled(&self) -> bool {
-        if let Some(flag) = self.flag {
-            if flag.load(Ordering::Relaxed) {
-                return true;
-            }
-        }
-        match self.deadline {
-            Some(deadline) => Instant::now() >= deadline,
-            None => false,
-        }
+        self.deadline
+            .is_some_and(|deadline| Instant::now() >= deadline)
     }
 }
 
 /// Sleeps for `total`, polling `cancel` in small slices. Returns `false`
 /// if cancelled before the sleep finished.
-fn cancellable_sleep(total: Duration, cancel: &CancelSignal<'_>) -> bool {
+fn cancellable_sleep(total: Duration, cancel: &CancelSignal) -> bool {
     let slice = Duration::from_millis(2);
     let end = Instant::now() + total;
     loop {
@@ -1084,18 +963,11 @@ fn fault_probe_trace() -> Trace {
 enum AttemptError {
     /// Retryable failure (panic, build error, injected trace fault).
     Failed(String),
-    /// The cancellation signal fired; never retried.
+    /// The job's deadline passed; never retried.
     Cancelled,
     /// An injected [`Fault::Kill`] ended the attempt after this many
     /// records, simulating a process death; never retried.
     Killed(u64),
-}
-
-/// A trace input opened for one attempt: the shared in-memory trace, or
-/// this attempt's private streaming source.
-enum OpenedInput<'a> {
-    Ready(&'a Trace),
-    Source(Box<dyn TraceSource>),
 }
 
 /// What one executed job leaves behind: its terminal outcome plus the
@@ -1169,8 +1041,7 @@ impl SweepContext<'_> {
         &self,
         job: usize,
         path: &Path,
-        trace_name: &str,
-        total_records: u64,
+        trace: &Trace,
         predictor: &mut dyn ConditionalPredictor,
     ) -> Result<(SimCheckpoint, Option<H2pTable>), String> {
         let spec = &self.specs[job / self.n_traces];
@@ -1194,16 +1065,18 @@ impl SweepContext<'_> {
                 spec.label()
             ));
         }
-        if loaded.trace != trace_name {
+        if loaded.trace != trace.name() {
             return Err(format!(
-                "trace mismatch: checkpoint {:?}, expected {trace_name:?}",
-                loaded.trace
+                "trace mismatch: checkpoint {:?}, expected {:?}",
+                loaded.trace,
+                trace.name()
             ));
         }
-        if loaded.sim.records > total_records {
+        if loaded.sim.records > trace.len() as u64 {
             return Err(format!(
-                "snapshot at record {} lies beyond the {total_records}-record trace",
-                loaded.sim.records
+                "snapshot at record {} lies beyond the {}-record trace",
+                loaded.sim.records,
+                trace.len()
             ));
         }
         if !predictor.capabilities().checkpointable {
@@ -1242,14 +1115,14 @@ impl SweepContext<'_> {
         &self,
         job: usize,
         attempt: u32,
-        input: &TraceInput,
+        trace: &Trace,
         fault: Option<&Fault>,
-        cancel: &CancelSignal<'_>,
+        cancel: &CancelSignal,
     ) -> Result<(JobRecord, Option<Box<JobObs>>), AttemptError> {
         let attempt_start = Instant::now();
         match fault {
             // The guard runs the injected delay; a cancelled sleep means
-            // the watchdog fired mid-delay.
+            // the deadline passed mid-delay.
             Some(Fault::Delay { millis })
                 if !cancellable_sleep(Duration::from_millis(*millis), cancel) =>
             {
@@ -1286,42 +1159,6 @@ impl SweepContext<'_> {
                 .registry
                 .build_spec(spec)
                 .map_err(|e| AttemptError::Failed(format!("predictor build failed: {e}")))?;
-            // The input is opened before the simulation closures are
-            // built so the cache accounting of the open is known up
-            // front (event line + per-job metrics counter). Ready
-            // traces replay in place, streamed traces open a fresh
-            // per-job source — either way the record sequence, and
-            // therefore the result document, is identical.
-            let (mut opened, total_records, regenerated) = match input {
-                TraceInput::Ready(trace) => (
-                    OpenedInput::Ready(trace.as_ref()),
-                    trace.len() as u64,
-                    false,
-                ),
-                TraceInput::Streamed(streamed) => {
-                    let (source, status) = streamed.open_source();
-                    if streamed.file.is_some() {
-                        self.emit(
-                            Event::new("trace_cache")
-                                .str("trace", streamed.name())
-                                .num("records", streamed.n_records() as u64)
-                                .str("status", status.name())
-                                .num("generated", u64::from(status.generated())),
-                        );
-                    }
-                    (
-                        OpenedInput::Source(source),
-                        streamed.n_records() as u64,
-                        status == CacheStatus::Regenerated,
-                    )
-                }
-                // `Unavailable` is rejected in `run_job_inner` before
-                // any attempt starts, so reaching it here is an engine
-                // bug.
-                TraceInput::Unavailable { name, .. } => {
-                    unreachable!("unavailable trace {name:?} reached the simulation loop")
-                }
-            };
             // Mid-job resume: a valid snapshot restores the predictor,
             // the accounting, and the observer; anything wrong with the
             // file quarantines it and the job runs from zero instead —
@@ -1329,8 +1166,7 @@ impl SweepContext<'_> {
             let mut resume: Option<SimCheckpoint> = None;
             let mut restored_h2p: Option<H2pTable> = None;
             if let Some(path) = ckpt_path.as_ref().filter(|p| p.exists()) {
-                match self.restore_ckpt(job, path, input.name(), total_records, predictor.as_mut())
-                {
+                match self.restore_ckpt(job, path, trace, predictor.as_mut()) {
                     Ok((snapshot, h2p)) => {
                         self.emit(
                             Event::new("ckpt_restore")
@@ -1360,13 +1196,8 @@ impl SweepContext<'_> {
             // Shared by the observer closure and the checkpoint sink —
             // closure captures cannot split a borrow through the Box.
             let obs = RefCell::new(self.collect_metrics.then(|| Box::new(JobObs::default())));
-            if let Some(obs) = obs.borrow_mut().as_mut() {
-                if let Some(h2p) = restored_h2p {
-                    obs.h2p = h2p;
-                }
-                if regenerated {
-                    obs.metrics.incr("trace_cache.regenerated", 1);
-                }
+            if let (Some(obs), Some(h2p)) = (obs.borrow_mut().as_mut(), restored_h2p) {
+                obs.h2p = h2p;
             }
             let mut cancelled = || cancel.cancelled();
             let mut observe = |pc: u64, taken: bool, mispredicted: bool| {
@@ -1391,7 +1222,7 @@ impl SweepContext<'_> {
                     matrix_id: self.matrix,
                     job_index: job as u64,
                     predictor: spec.label(),
-                    trace: input.name().to_owned(),
+                    trace: trace.name().to_owned(),
                     sim: snapshot,
                     observer,
                 };
@@ -1436,11 +1267,7 @@ impl SweepContext<'_> {
                 recorder.clear();
                 sim = sim.recorder(recorder);
             }
-            let driven = match &mut opened {
-                OpenedInput::Ready(trace) => sim.run_trace(trace),
-                OpenedInput::Source(source) => sim.run(source.as_mut()),
-            };
-            let (result, intervals) = driven.map_err(|e| match e {
+            let (result, intervals) = sim.run_trace(trace).map_err(|e| match e {
                 SimulationError::Aborted => AttemptError::Cancelled,
                 SimulationError::Source(err) => {
                     AttemptError::Failed(format!("trace stream failed: {err}"))
@@ -1484,10 +1311,10 @@ impl SweepContext<'_> {
                 panic_message(payload)
             ))),
         };
-        // Any attempt-terminal error — failure, panic, watchdog
-        // cancellation, injected kill — dumps the black box before the
-        // error propagates; a later successful attempt leaves the dump
-        // of the last dead one for inspection.
+        // Any attempt-terminal error — failure, panic, timeout, injected
+        // kill — dumps the black box before the error propagates; a
+        // later successful attempt leaves the dump of the last dead one
+        // for inspection.
         if let Err(err) = &result {
             let (status, detail) = match err {
                 AttemptError::Failed(msg) => ("failed", msg.clone()),
@@ -1549,7 +1376,7 @@ impl SweepContext<'_> {
     /// fault lookup, attempt/retry loop, panic isolation. Opens a
     /// `job_open` span in the event journal and always closes it with a
     /// `job_close` carrying the terminal [`JobStatus`] keyword.
-    fn run_job(&self, job: usize, cancel: &CancelSignal<'_>) -> ExecutedJob {
+    fn run_job(&self, job: usize, cancel: &CancelSignal) -> ExecutedJob {
         let job_start = Instant::now();
         self.emit(self.job_event("job_open", job));
         let (outcome, obs) = self.run_job_inner(job, job_start, cancel);
@@ -1579,12 +1406,7 @@ impl SweepContext<'_> {
         (outcome, obs)
     }
 
-    fn run_job_inner(
-        &self,
-        job: usize,
-        job_start: Instant,
-        cancel: &CancelSignal<'_>,
-    ) -> ExecutedJob {
+    fn run_job_inner(&self, job: usize, job_start: Instant, cancel: &CancelSignal) -> ExecutedJob {
         let fault = self.faults.get(&job);
         if matches!(fault, Some(Fault::Skip)) {
             return (
@@ -1596,23 +1418,25 @@ impl SweepContext<'_> {
                 None,
             );
         }
-        let input = &self.inputs[job % self.n_traces];
-        if let TraceInput::Unavailable { name, error } = input {
-            return (
-                JobOutcome {
-                    status: JobStatus::Failed {
-                        error: format!("trace {name:?} unavailable: {error}"),
+        let trace = match &self.inputs[job % self.n_traces] {
+            TraceInput::Ready(trace) => trace.as_ref(),
+            TraceInput::Unavailable { name, error } => {
+                return (
+                    JobOutcome {
+                        status: JobStatus::Failed {
+                            error: format!("trace {name:?} unavailable: {error}"),
+                        },
+                        attempts: 0,
+                        wall: job_start.elapsed(),
                     },
-                    attempts: 0,
-                    wall: job_start.elapsed(),
-                },
-                None,
-            );
-        }
+                    None,
+                );
+            }
+        };
         let max_attempts = self.retry.max_attempts.max(1);
         let mut last_error = String::new();
         for attempt in 1..=max_attempts {
-            match self.run_attempt(job, attempt, input, fault, cancel) {
+            match self.run_attempt(job, attempt, trace, fault, cancel) {
                 Ok((record, obs)) => {
                     return (
                         JobOutcome {
@@ -1624,9 +1448,9 @@ impl SweepContext<'_> {
                     );
                 }
                 Err(AttemptError::Cancelled) => {
-                    // The watchdog (or the deadline check) fired: record
-                    // the moment in the journal — the final status alone
-                    // cannot say *when* the budget ran out.
+                    // The deadline passed: record the moment in the
+                    // journal — the final status alone cannot say *when*
+                    // the budget ran out.
                     self.emit(
                         Event::new("timeout")
                             .num("job", job as u64)
@@ -1847,81 +1671,37 @@ pub fn sweep_inputs(
             .num("threads", threads as u64),
     );
 
-    let mut executed: Vec<Option<ExecutedJob>> = vec![None; n_jobs];
-    if threads <= 1 {
-        for &job in &pending {
-            let cancel = CancelSignal {
-                flag: None,
-                deadline: options.timeout.map(|t| Instant::now() + t),
-            };
-            let (outcome, obs) = context.run_job(job, &cancel);
-            context.checkpoint(job, &outcome);
-            context.tick_progress(job, &outcome);
-            executed[job] = Some((outcome, obs));
-        }
-    } else {
-        let next = AtomicUsize::new(0);
-        let slots: Mutex<&mut Vec<Option<ExecutedJob>>> = Mutex::new(&mut executed);
-        let cancel_flags: Vec<AtomicBool> = (0..n_jobs).map(|_| AtomicBool::new(false)).collect();
-        let deadlines: Mutex<Vec<Option<Instant>>> = Mutex::new(vec![None; n_jobs]);
-        let pool_done = AtomicBool::new(false);
-        std::thread::scope(|scope| {
-            // The watchdog: measures every in-flight job against its
-            // wall-clock deadline and raises that job's cancellation
-            // flag, so an overrunning job is cut off even if its own
-            // deadline arithmetic is starved (the flag is checked at
-            // every cancellation point).
-            if let Some(timeout) = options.timeout {
-                let tick = (timeout / 4).clamp(Duration::from_millis(1), Duration::from_millis(10));
-                let (pool_done, deadlines, cancel_flags) = (&pool_done, &deadlines, &cancel_flags);
-                scope.spawn(move || {
-                    while !pool_done.load(Ordering::Acquire) {
-                        std::thread::sleep(tick);
-                        let now = Instant::now();
-                        let deadlines = lock_or_recover(deadlines);
-                        for (job, deadline) in deadlines.iter().enumerate() {
-                            if deadline.is_some_and(|d| now >= d) {
-                                cancel_flags[job].store(true, Ordering::Relaxed);
-                            }
-                        }
-                    }
-                });
-            }
-            let workers: Vec<_> = (0..threads)
-                .map(|_| {
-                    scope.spawn(|| loop {
-                        let slot = next.fetch_add(1, Ordering::Relaxed);
-                        let Some(&job) = pending.get(slot) else {
-                            break;
-                        };
-                        let deadline = options.timeout.map(|t| Instant::now() + t);
-                        if deadline.is_some() {
-                            lock_or_recover(&deadlines)[job] = deadline;
-                        }
-                        let cancel = CancelSignal {
-                            flag: Some(&cancel_flags[job]),
-                            deadline,
-                        };
-                        let (outcome, obs) = context.run_job(job, &cancel);
-                        if deadline.is_some() {
-                            lock_or_recover(&deadlines)[job] = None;
-                        }
-                        context.checkpoint(job, &outcome);
-                        context.tick_progress(job, &outcome);
-                        lock_or_recover(&slots)[job] = Some((outcome, obs));
-                    })
+    // One pool at every thread count: workers take pending jobs in
+    // order from a shared counter, and each job carries its own deadline.
+    let next = AtomicUsize::new(0);
+    let slots: Mutex<Vec<Option<ExecutedJob>>> = Mutex::new(vec![None; n_jobs]);
+    std::thread::scope(|scope| {
+        let workers: Vec<_> = (0..threads)
+            .map(|_| {
+                scope.spawn(|| loop {
+                    let slot = next.fetch_add(1, Ordering::Relaxed);
+                    let Some(&job) = pending.get(slot) else {
+                        break;
+                    };
+                    let cancel = CancelSignal {
+                        deadline: options.timeout.map(|t| Instant::now() + t),
+                    };
+                    let (outcome, obs) = context.run_job(job, &cancel);
+                    context.checkpoint(job, &outcome);
+                    context.tick_progress(job, &outcome);
+                    lock_or_recover(&slots)[job] = Some((outcome, obs));
                 })
-                .collect();
-            for worker in workers {
-                // A worker can only panic outside the per-job isolation
-                // boundary (an engine bug, not a predictor bug); its
-                // claimed-but-unfinished job degrades to a failed slot
-                // below instead of tearing down the sweep.
-                let _ = worker.join();
-            }
-            pool_done.store(true, Ordering::Release);
-        });
-    }
+            })
+            .collect();
+        for worker in workers {
+            // A worker can only panic outside the per-job isolation
+            // boundary (an engine bug, not a predictor bug); its
+            // claimed-but-unfinished job degrades to a failed slot
+            // below instead of tearing down the sweep.
+            let _ = worker.join();
+        }
+    });
+    let mut executed = slots.into_inner().unwrap_or_else(PoisonError::into_inner);
 
     let mut job_obs: Vec<Option<JobObs>> = Vec::with_capacity(n_jobs);
     let jobs: Vec<JobOutcome> = (0..n_jobs)
@@ -1970,19 +1750,6 @@ pub fn sweep_inputs(
         progress.finish();
     }
     Ok(report)
-}
-
-/// [`sweep`] pinned to one worker thread — the reference schedule.
-///
-/// # Errors
-///
-/// See [`sweep`].
-pub fn sweep_serial(
-    registry: &PredictorRegistry,
-    specs: &[PredictorSpec],
-    runner: &SuiteRunner,
-) -> Result<SweepReport, SweepError> {
-    sweep(registry, specs, runner, &SweepOptions::serial())
 }
 
 /// Renders a JSON string literal (quoted, escaped).
@@ -2070,7 +1837,7 @@ mod tests {
         let registry = PredictorRegistry::with_builtins();
         let runner = tiny_runner();
         let specs = two_specs();
-        let serial = sweep_serial(&registry, &specs, &runner).unwrap();
+        let serial = sweep(&registry, &specs, &runner, &SweepOptions::serial()).unwrap();
         let parallel = sweep(
             &registry,
             &specs,
@@ -2098,7 +1865,7 @@ mod tests {
     fn timing_fields_present_only_in_full_json() {
         let registry = PredictorRegistry::with_builtins();
         let runner = tiny_runner();
-        let report = sweep_serial(&registry, &two_specs(), &runner).unwrap();
+        let report = sweep(&registry, &two_specs(), &runner, &SweepOptions::serial()).unwrap();
         let results = report.results_json();
         let full = report.to_json();
         assert!(!results.contains("\"timing\""));

@@ -39,8 +39,8 @@ pub use ckpt::{
     CodecError, JobCheckpoint, Restorable, SimCheckpoint, StateReader, StateWriter, CKPT_MAGIC,
 };
 pub use engine::{
-    sweep, sweep_inputs, sweep_serial, JobOutcome, JobRecord, JobStatus, RetryPolicy, RunSummary,
-    StreamedTrace, SweepError, SweepOptions, SweepReport, TraceInput,
+    sweep, sweep_inputs, JobOutcome, JobRecord, JobStatus, RetryPolicy, RunSummary, SweepError,
+    SweepOptions, SweepReport, TraceInput,
 };
 pub use fault::{Fault, FaultPlan, FaultPlanParseError};
 pub use forensics::{

@@ -2,15 +2,14 @@
 //!
 //! The hot loop consumes structure-of-arrays [`TraceChunk`]s from any
 //! [`TraceSource`], so a simulation's working set is O(chunk) whether
-//! the trace is materialized, decoded from disk, or generated on the
-//! fly. Each chunk is split into maximal runs of same-kind records
-//! ([`TraceChunk::kind_runs`]): conditional runs go to
-//! [`ConditionalPredictor::predict_batch`], the others to
-//! [`ConditionalPredictor::update_batch`]. Totals, interval windows,
-//! and observer callbacks are then computed from the per-record
-//! misprediction flags in one scalar pass, so batching never changes a
-//! single count. There is one drive loop, whatever hooks a run
-//! installs; the [`Simulation`] builder is its one entry point.
+//! the trace is materialized or decoded from disk. Each chunk is split
+//! into maximal runs of same-kind records ([`TraceChunk::kind_runs`]):
+//! conditional runs go to [`ConditionalPredictor::predict_batch`], the
+//! others to [`ConditionalPredictor::update_batch`]. Totals, interval
+//! windows, and observer callbacks are then computed from the
+//! per-record misprediction flags in one scalar pass, so batching never
+//! changes a single count. There is one drive loop, whatever hooks a
+//! run installs; the [`Simulation`] builder is its one entry point.
 
 use std::fmt;
 
@@ -161,8 +160,8 @@ impl std::error::Error for SimulationAborted {}
 /// How many records a cancellable simulation processes between
 /// cancellation checks — also the default [`Simulation`] chunk size, so
 /// a chunk boundary doubles as a cancellation point. Coarse enough to
-/// keep the signal off the hot path, fine enough that a watchdogged job
-/// stops within microseconds of its flag being raised.
+/// keep the clock read off the hot path, fine enough that a job stops
+/// within a fraction of a millisecond of its deadline.
 pub const CANCEL_CHECK_RECORDS: u64 = 4096;
 
 /// Error from a [`Simulation`] run.
@@ -172,7 +171,7 @@ pub enum SimulationError {
     /// discarded.
     Aborted,
     /// A streaming source failed to decode its byte stream. Replayed
-    /// and synthetic sources never produce this.
+    /// traces never produce this.
     Source(TraceFormatError),
     /// Fault injection: the run was killed at a [`Simulation::kill_after`]
     /// record boundary, mimicking a process death mid-job. Carries the
@@ -308,9 +307,9 @@ impl<'a, P: ConditionalPredictor + ?Sized> Simulation<'a, P> {
     /// [`SimulationError::Aborted`].
     ///
     /// This is the mechanism behind the sweep engine's per-job
-    /// wall-clock timeout — the watchdog raises a flag, the simulation
-    /// loop observes it here. Cancellation never alters results: a run
-    /// that completes is bit-identical to an uncancellable one.
+    /// wall-clock timeout: the engine's hook reads the clock against the
+    /// job's deadline. Cancellation never alters results: a run that
+    /// completes is bit-identical to an uncancellable one.
     pub fn cancel(mut self, cancelled: &'a mut dyn FnMut() -> bool) -> Self {
         self.cancel = Some(cancelled);
         self
@@ -760,23 +759,6 @@ mod tests {
                 .unwrap();
             assert_eq!(chunked, reference, "chunk_records = {chunk}");
         }
-    }
-
-    #[test]
-    fn streamed_synthetic_source_matches_replay() {
-        let spec = bfbp_trace::synth::suite::find("SPEC03").unwrap();
-        let trace = spec.generate_len(3000);
-        let mut p1 = StaticPredictor::always_taken();
-        let replayed = Simulation::new(&mut p1)
-            .intervals(400)
-            .run_trace(&trace)
-            .unwrap();
-        let mut p2 = StaticPredictor::always_taken();
-        let streamed = Simulation::new(&mut p2)
-            .intervals(400)
-            .run(&mut spec.stream_len(3000))
-            .unwrap();
-        assert_eq!(replayed, streamed);
     }
 
     #[test]

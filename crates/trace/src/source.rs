@@ -2,20 +2,18 @@
 //!
 //! A [`TraceSource`] hands out [`TraceChunk`]s of at most a caller-chosen
 //! record count, so a consumer's working set is O(chunk) regardless of
-//! trace length. Three sources cover every way a trace enters the
+//! trace length. Two sources cover every way a trace enters the
 //! simulator:
 //!
 //! * [`FileSource`] — incremental decode on top of
-//!   [`TraceReader`](crate::format::TraceReader), for BFBT files
-//!   (including trace-cache entries);
-//! * [`SynthSource`] — on-the-fly synthetic generation from a
-//!   [`Program`](crate::synth::program::Program), for suite traces that
-//!   were never materialized;
-//! * [`ReplaySource`] — replay of an already-materialized
-//!   [`Trace`], the bridge for callers that still hold whole traces.
+//!   [`TraceReader`], for BFBT files (including trace-cache entries),
+//!   which the `simulate_trace` binary streams without holding the
+//!   whole trace;
+//! * [`ReplaySource`] — replay of an in-memory [`Trace`], which every
+//!   sweep job runs.
 //!
-//! All three produce identical record sequences for identical logical
-//! traces, so a chunked consumer is byte-for-byte equivalent to one that
+//! Both produce identical record sequences for identical logical traces,
+//! so a chunked consumer is byte-for-byte equivalent to one that
 //! iterated a `Vec<BranchRecord>`.
 
 use std::fs::File;
@@ -25,11 +23,10 @@ use std::path::Path;
 
 use crate::format::{RecordSink, TraceFormatError, TraceReader};
 use crate::record::{BranchKind, BranchRecord, Trace};
-use crate::synth::program::{Program, StreamState};
 
 /// Default chunk capacity in records. Matches the sweep engine's
 /// cancellation-check cadence so a chunk boundary doubles as a
-/// cancellation point without changing watchdog latency.
+/// cancellation point without changing timeout latency.
 pub const DEFAULT_CHUNK_RECORDS: usize = 4096;
 
 /// A fixed-capacity structure-of-arrays batch of branch records.
@@ -286,56 +283,6 @@ impl<R: Read> TraceSource for FileSource<R> {
     }
 }
 
-/// On-the-fly synthetic generation: owns a [`Program`] and its stream
-/// state, delivering exactly the record count it was created with.
-#[derive(Debug, Clone)]
-pub struct SynthSource {
-    name: String,
-    program: Program,
-    state: StreamState,
-    remaining: usize,
-}
-
-impl SynthSource {
-    /// Creates a source that yields the first `n_records` records of
-    /// `program`'s stream for `seed` — the same sequence
-    /// [`Program::emit`] materializes.
-    pub fn new(name: impl Into<String>, program: Program, seed: u64, n_records: usize) -> Self {
-        let state = StreamState::new(&program, seed);
-        Self {
-            name: name.into(),
-            program,
-            state,
-            remaining: n_records,
-        }
-    }
-
-    /// Records not yet delivered.
-    pub fn remaining(&self) -> usize {
-        self.remaining
-    }
-}
-
-impl TraceSource for SynthSource {
-    fn name(&self) -> &str {
-        &self.name
-    }
-
-    fn fill_chunk(
-        &mut self,
-        chunk: &mut TraceChunk,
-        max_records: usize,
-    ) -> Result<usize, TraceFormatError> {
-        chunk.clear();
-        let n = max_records.min(self.remaining);
-        for _ in 0..n {
-            chunk.push(&self.state.next_record(&self.program));
-        }
-        self.remaining -= n;
-        Ok(n)
-    }
-}
-
 /// Replay of an already-materialized [`Trace`], chunk by chunk.
 #[derive(Debug, Clone)]
 pub struct ReplaySource<'t> {
@@ -426,17 +373,6 @@ mod tests {
             }
         }
         assert_eq!(total, trace.len());
-    }
-
-    #[test]
-    fn synth_source_matches_generate_len() {
-        let spec = suite::find("SPEC03").unwrap();
-        let materialized = spec.generate_len(3000);
-        let mut source = spec.stream_len(3000);
-        assert_eq!(source.remaining(), 3000);
-        let streamed = collect_source(&mut source).unwrap();
-        assert_eq!(streamed, materialized);
-        assert_eq!(source.remaining(), 0);
     }
 
     #[test]

@@ -275,21 +275,14 @@ pub struct ProgramStream<'p> {
     state: StreamState,
 }
 
-/// Detached iteration state of a program record stream.
-///
-/// [`ProgramStream`] borrows its [`Program`]; code that must *own* a
-/// self-contained stream (the synthetic
-/// [`SynthSource`](crate::source::SynthSource), for instance) instead
-/// holds a `Program` and a `StreamState` side by side and calls
-/// [`StreamState::next_record`]. Both drivers share this one
-/// implementation, so a given `(program, seed)` pair yields the same
-/// record sequence through either.
+/// Iteration state of a [`ProgramStream`], apart from the program it
+/// borrows.
 ///
 /// Every `next_record` call must pass the same program the state was
 /// created for; mixing programs produces nonsense (and may panic on
 /// out-of-range branch ids).
 #[derive(Debug, Clone)]
-pub struct StreamState {
+struct StreamState {
     state: EvalState,
     rng: Xoshiro256,
     buffer: Vec<BranchRecord>,
@@ -309,7 +302,7 @@ const SCENE_BURST_MAX: u32 = 16;
 impl StreamState {
     /// Creates fresh iteration state for `program`, seeded like
     /// [`Program::stream`].
-    pub fn new(program: &Program, seed: u64) -> Self {
+    fn new(program: &Program, seed: u64) -> Self {
         Self {
             state: EvalState::new(program.branches.len()),
             rng: Xoshiro256::seed_from_u64(seed),
@@ -321,7 +314,7 @@ impl StreamState {
     }
 
     /// Produces the next record of the (infinite) stream.
-    pub fn next_record(&mut self, program: &Program) -> BranchRecord {
+    fn next_record(&mut self, program: &Program) -> BranchRecord {
         while self.cursor >= self.buffer.len() {
             self.refill(program);
         }

@@ -41,11 +41,9 @@ pub use bfbp_sim::{
     chrome_trace, parse_events, parse_json, postmortem_json, read_events, tune, FlightEntry,
     FlightRecorder, FrontierPoint, ParsedEvent, PredictorCaps, Provenance, SearchSpace,
     ServeClient, ServeError, ServeOptions, Server, ServerHandle, SessionStats, Simulation,
-    SimulationError, StreamedTrace, TraceInput, TuneError, TuneOptions, TuneReport,
+    SimulationError, TraceInput, TuneError, TuneOptions, TuneReport,
 };
-pub use bfbp_trace::{
-    CacheStatus, FileSource, ReplaySource, SynthSource, TraceCache, TraceChunk, TraceSource,
-};
+pub use bfbp_trace::{CacheStatus, FileSource, ReplaySource, TraceCache, TraceChunk, TraceSource};
 
 use bfbp_sim::registry::PredictorRegistry;
 

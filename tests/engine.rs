@@ -3,7 +3,7 @@
 //! engine must agree with the single-threaded `SuiteRunner` path, and
 //! every registered predictor must round-trip through its defaults.
 
-use bfbp::sim::engine::{sweep, sweep_serial, SweepOptions};
+use bfbp::sim::engine::{sweep, SweepOptions};
 use bfbp::sim::registry::{Params, PredictorSpec};
 use bfbp::sim::runner::SuiteRunner;
 use bfbp::trace::synth::suite;
@@ -32,7 +32,7 @@ fn parallel_sweep_is_byte_identical_to_serial() {
     let runner = small_runner();
     let specs = small_specs();
 
-    let serial = sweep_serial(&registry, &specs, &runner).expect("serial sweep");
+    let serial = sweep(&registry, &specs, &runner, &SweepOptions::serial()).expect("serial sweep");
     for threads in [2, 3, 8] {
         let parallel = sweep(
             &registry,

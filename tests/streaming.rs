@@ -1,21 +1,24 @@
 //! Integration tests for the streaming trace pipeline: the chunked
-//! [`Simulation`] hot loop must be byte-equivalent to the materialized
-//! path for every registered predictor, `TraceInput::Streamed` sweeps
-//! must produce byte-identical `bfbp-sweep/2` and `bfbp-metrics/1`
-//! documents across thread counts, and the content-addressed trace
-//! cache must be invisible to results while eliminating all synthetic
-//! generation on a warm run (asserted via the events journal).
+//! [`Simulation`] hot loop must give the same results over a BFBT
+//! byte stream ([`FileSource`]) as over the materialized trace for
+//! every registered predictor, sweeps must produce byte-identical
+//! `bfbp-sweep/2` and `bfbp-metrics/1` documents across thread counts,
+//! and the content-addressed trace cache must be invisible to results
+//! while eliminating all synthetic generation on a warm run (asserted
+//! via the events journal).
 
 use std::fs;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use bfbp::sim::engine::{sweep_inputs, StreamedTrace, SweepOptions, TraceInput};
+use bfbp::sim::engine::{sweep_inputs, SweepOptions, TraceInput};
 use bfbp::sim::obs::EventJournal;
 use bfbp::sim::registry::PredictorSpec;
 use bfbp::sim::runner::{scaled_len, SuiteRunner};
 use bfbp::sim::simulate::Simulation;
 use bfbp::trace::cache::TraceCache;
+use bfbp::trace::format::write_trace;
+use bfbp::trace::source::FileSource;
 use bfbp::trace::synth::suite;
 use bfbp::trace::synth::suite::TraceSpec;
 
@@ -42,12 +45,15 @@ fn scratch(name: &str) -> PathBuf {
 
 /// Every registered predictor, on every equivalence trace, must produce
 /// the same `SimResult` and the same interval series whether the trace
-/// is materialized up front or synthesized chunk-by-chunk.
+/// is materialized up front or decoded chunk-by-chunk from its BFBT
+/// bytes.
 #[test]
 fn streamed_and_materialized_paths_agree_for_every_predictor() {
     let registry = bfbp::default_registry();
     for trace_spec in equiv_specs() {
         let trace = trace_spec.generate_len(EQUIV_RECORDS);
+        let mut bytes = Vec::new();
+        write_trace(&mut bytes, &trace).expect("encode to memory");
         for name in registry.names() {
             let spec = PredictorSpec::new(name);
             let mut materialized = registry.build_spec(&spec).expect("builds from defaults");
@@ -57,7 +63,7 @@ fn streamed_and_materialized_paths_agree_for_every_predictor() {
                 .expect("never cancelled");
 
             let mut streamed = registry.build_spec(&spec).expect("builds from defaults");
-            let mut source = trace_spec.stream_len(EQUIV_RECORDS);
+            let mut source = FileSource::from_reader(&bytes[..]).expect("valid header");
             let got = Simulation::new(streamed.as_mut())
                 .intervals(2500)
                 .run(&mut source)
@@ -73,9 +79,9 @@ fn streamed_and_materialized_paths_agree_for_every_predictor() {
     }
 }
 
-/// `TraceInput::Streamed` must be indistinguishable from
-/// `TraceInput::Ready` in the sweep documents — `bfbp-sweep/2` and
-/// `bfbp-metrics/1` alike — at every thread count.
+/// The sweep documents — `bfbp-sweep/2` and `bfbp-metrics/1` alike —
+/// must not depend on the worker count: one worker and two run the
+/// same jobs on the same pool.
 #[test]
 fn streamed_sweeps_are_byte_identical_across_input_kind_and_threads() {
     let registry = bfbp::default_registry();
@@ -83,44 +89,34 @@ fn streamed_sweeps_are_byte_identical_across_input_kind_and_threads() {
         PredictorSpec::new("gshare").labeled("g"),
         PredictorSpec::new("bf-tage").labeled("bf"),
     ];
-    let trace_specs = equiv_specs();
-
-    let ready: Vec<TraceInput> = trace_specs
+    let ready: Vec<TraceInput> = equiv_specs()
         .iter()
         .map(|s| TraceInput::ready(s.generate_len(EQUIV_RECORDS)))
         .collect();
-    let streamed: Vec<TraceInput> = trace_specs
-        .iter()
-        .map(|s| TraceInput::streamed(s.clone(), EQUIV_RECORDS))
-        .collect();
 
     let mut docs = Vec::new();
-    for inputs in [&ready, &streamed] {
-        for threads in [1, 2] {
-            let report = sweep_inputs(
-                &registry,
-                &specs,
-                inputs,
-                &SweepOptions::default().with_threads(threads).with_metrics(),
-            )
-            .expect("sweep");
-            assert!(report.is_fully_ok());
-            docs.push((
-                report.results_json(),
-                report.metrics_json().expect("metrics collected"),
-            ));
-        }
+    for threads in [1, 2] {
+        let report = sweep_inputs(
+            &registry,
+            &specs,
+            &ready,
+            &SweepOptions::default().with_threads(threads).with_metrics(),
+        )
+        .expect("sweep");
+        assert!(report.is_fully_ok());
+        docs.push((
+            report.results_json(),
+            report.metrics_json().expect("metrics collected"),
+        ));
     }
-    for (results, metrics) in &docs[1..] {
-        assert_eq!(
-            results, &docs[0].0,
-            "bfbp-sweep/2 document depends on input kind or thread count"
-        );
-        assert_eq!(
-            metrics, &docs[0].1,
-            "bfbp-metrics/1 document depends on input kind or thread count"
-        );
-    }
+    assert_eq!(
+        docs[1].0, docs[0].0,
+        "bfbp-sweep/2 document depends on thread count"
+    );
+    assert_eq!(
+        docs[1].1, docs[0].1,
+        "bfbp-metrics/1 document depends on thread count"
+    );
 }
 
 /// Cold-then-warm cache rounds must hand the sweep identical traces
@@ -226,80 +222,6 @@ fn warm_cache_does_zero_generation_per_events_journal() {
         0,
         "warm round must perform zero synthetic generation: {warm}"
     );
-
-    let _ = fs::remove_dir_all(&cache_dir);
-}
-
-/// File-backed streamed inputs route through the same `trace_cache`
-/// accounting as the materializing cache path: a healthy BFBT entry
-/// journals its per-job open as a `hit`, a torn entry quarantines into
-/// a `regenerated` (entry existed but failed validation) open — and
-/// the sweep documents are byte-identical to pure synthesis either way.
-#[test]
-fn file_backed_streamed_inputs_journal_cache_status() {
-    let registry = bfbp::default_registry();
-    let specs = vec![PredictorSpec::new("bimodal").labeled("b")];
-    let trace_spec = equiv_specs().remove(0);
-    let cache_dir = scratch("streamed-file-cache");
-    let cache = TraceCache::at(&cache_dir);
-    cache.fetch(&trace_spec, EQUIV_RECORDS);
-    let entry = cache
-        .entry_path(&trace_spec, EQUIV_RECORDS)
-        .expect("cache enabled");
-
-    let reference = sweep_inputs(
-        &registry,
-        &specs,
-        &[TraceInput::streamed(trace_spec.clone(), EQUIV_RECORDS)],
-        &SweepOptions::serial(),
-    )
-    .expect("synthesis-only sweep");
-
-    let file_backed = || {
-        TraceInput::Streamed(Box::new(
-            StreamedTrace::new(trace_spec.clone(), EQUIV_RECORDS).with_file(&entry),
-        ))
-    };
-
-    let hit_path = scratch("hit.events.jsonl");
-    let report = sweep_inputs(
-        &registry,
-        &specs,
-        &[file_backed()],
-        &SweepOptions::serial().with_events(&hit_path),
-    )
-    .expect("file-backed sweep");
-    assert_eq!(
-        report.results_json(),
-        reference.results_json(),
-        "healthy cache entry changed the results document"
-    );
-    let journal = fs::read_to_string(&hit_path).expect("hit journal");
-    assert_eq!(count_status(&journal, "hit"), 1, "{journal}");
-    assert_eq!(count_status(&journal, "generated"), 0, "{journal}");
-
-    // Corrupt the entry in place: the per-job open must fall back to
-    // synthesis, account for it as `regenerated` (the entry was there
-    // but torn — not a cold `generated` miss), and still match.
-    let bytes = fs::read(&entry).expect("entry exists");
-    fs::write(&entry, &bytes[..bytes.len() / 2]).expect("truncate entry");
-    let gen_path = scratch("regenerated.events.jsonl");
-    let report = sweep_inputs(
-        &registry,
-        &specs,
-        &[file_backed()],
-        &SweepOptions::serial().with_events(&gen_path),
-    )
-    .expect("sweep after corruption");
-    assert_eq!(
-        report.results_json(),
-        reference.results_json(),
-        "corrupt cache entry changed the results document"
-    );
-    let journal = fs::read_to_string(&gen_path).expect("regenerated journal");
-    assert_eq!(count_status(&journal, "regenerated"), 1, "{journal}");
-    assert_eq!(count_status(&journal, "generated"), 0, "{journal}");
-    assert_eq!(count_status(&journal, "hit"), 0, "{journal}");
 
     let _ = fs::remove_dir_all(&cache_dir);
 }
