@@ -249,7 +249,12 @@ impl Program {
     pub fn stream(&self, seed: u64) -> ProgramStream<'_> {
         ProgramStream {
             program: self,
-            state: StreamState::new(self, seed),
+            state: EvalState::new(self.branches.len()),
+            rng: Xoshiro256::seed_from_u64(seed),
+            buffer: Vec::new(),
+            cursor: 0,
+            last_scene: None,
+            burst_left: 0,
         }
     }
 
@@ -272,17 +277,6 @@ fn inst_gap(pc: u64) -> u32 {
 #[derive(Debug, Clone)]
 pub struct ProgramStream<'p> {
     program: &'p Program,
-    state: StreamState,
-}
-
-/// Iteration state of a [`ProgramStream`], apart from the program it
-/// borrows.
-///
-/// Every `next_record` call must pass the same program the state was
-/// created for; mixing programs produces nonsense (and may panic on
-/// out-of-range branch ids).
-#[derive(Debug, Clone)]
-struct StreamState {
     state: EvalState,
     rng: Xoshiro256,
     buffer: Vec<BranchRecord>,
@@ -299,32 +293,9 @@ const SCENE_REPEAT_NUM: u64 = 232;
 /// Maximum consecutive plays of one scene.
 const SCENE_BURST_MAX: u32 = 16;
 
-impl StreamState {
-    /// Creates fresh iteration state for `program`, seeded like
-    /// [`Program::stream`].
-    fn new(program: &Program, seed: u64) -> Self {
-        Self {
-            state: EvalState::new(program.branches.len()),
-            rng: Xoshiro256::seed_from_u64(seed),
-            buffer: Vec::new(),
-            cursor: 0,
-            last_scene: None,
-            burst_left: 0,
-        }
-    }
-
-    /// Produces the next record of the (infinite) stream.
-    fn next_record(&mut self, program: &Program) -> BranchRecord {
-        while self.cursor >= self.buffer.len() {
-            self.refill(program);
-        }
-        let record = self.buffer[self.cursor];
-        self.cursor += 1;
-        record
-    }
-
-    fn emit_cond(&mut self, program: &Program, id: BranchId, out: &mut Vec<BranchRecord>) {
-        let branch = &program.branches[id.index()];
+impl ProgramStream<'_> {
+    fn emit_cond(&mut self, id: BranchId, out: &mut Vec<BranchRecord>) {
+        let branch = &self.program.branches[id.index()];
         let taken = branch.behavior.evaluate(id, &mut self.state, &mut self.rng);
         self.state.commit(id, taken);
         out.push(BranchRecord::cond(
@@ -335,10 +306,10 @@ impl StreamState {
         ));
     }
 
-    fn play_steps(&mut self, program: &Program, steps: &[Step], out: &mut Vec<BranchRecord>) {
+    fn play_steps(&mut self, steps: &[Step], out: &mut Vec<BranchRecord>) {
         for step in steps {
             match step {
-                Step::Cond(id) => self.emit_cond(program, *id, out),
+                Step::Cond(id) => self.emit_cond(*id, out),
                 Step::Loop {
                     header,
                     body,
@@ -346,7 +317,7 @@ impl StreamState {
                 } => {
                     let mut iters = 0u32;
                     loop {
-                        let branch = &program.branches[header.index()];
+                        let branch = &self.program.branches[header.index()];
                         let taken =
                             branch
                                 .behavior
@@ -362,7 +333,7 @@ impl StreamState {
                         if !taken || iters >= *max_iters {
                             break;
                         }
-                        self.play_steps(program, body, out);
+                        self.play_steps(body, out);
                     }
                 }
                 Step::Call { pc, target } => out.push(BranchRecord::uncond(
@@ -387,7 +358,8 @@ impl StreamState {
         }
     }
 
-    fn refill(&mut self, program: &Program) {
+    fn refill(&mut self) {
+        let program = self.program;
         self.buffer.clear();
         self.cursor = 0;
         // Phase behaviour: repeat the previous scene with high
@@ -416,9 +388,10 @@ impl StreamState {
             }
         };
         self.last_scene = Some(scene_index);
-        let steps = program.scenes[scene_index].steps.clone();
+        // Through the `&'p Program` copied above, the steps borrow the
+        // program rather than `self`, which `play_steps` needs mutably.
         let mut out = std::mem::take(&mut self.buffer);
-        self.play_steps(program, &steps, &mut out);
+        self.play_steps(&program.scenes[scene_index].steps, &mut out);
         self.buffer = out;
     }
 }
@@ -427,7 +400,12 @@ impl Iterator for ProgramStream<'_> {
     type Item = BranchRecord;
 
     fn next(&mut self) -> Option<Self::Item> {
-        Some(self.state.next_record(self.program))
+        while self.cursor >= self.buffer.len() {
+            self.refill();
+        }
+        let record = self.buffer[self.cursor];
+        self.cursor += 1;
+        Some(record)
     }
 }
 
@@ -454,15 +432,6 @@ mod tests {
             1,
         )];
         Program::new(branches, scenes).unwrap()
-    }
-
-    #[test]
-    fn detached_state_matches_borrowed_stream() {
-        let p = simple_program();
-        let mut state = StreamState::new(&p, 42);
-        let borrowed: Vec<BranchRecord> = p.stream(42).take(300).collect();
-        let detached: Vec<BranchRecord> = (0..300).map(|_| state.next_record(&p)).collect();
-        assert_eq!(borrowed, detached);
     }
 
     #[test]
