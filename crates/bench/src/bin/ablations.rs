@@ -2,5 +2,5 @@
 //! positional history, folded history, loop predictor, probabilistic
 //! BST, stack depth, and the recent unfiltered component.
 fn main() {
-    bfbp_bench::experiments::design_ablations(bfbp_bench::scale(1.0));
+    bfbp_bench::experiments::design_ablations(&bfbp_bench::cli::Harness::from_env(1.0));
 }

@@ -1,16 +1,16 @@
 //! Quick calibration: per-trace MPKI for the main predictor set at a
 //! reduced scale. Development aid, not a paper figure.
 
-use bfbp_bench::{banner, print_mpki_table, scale};
+use bfbp_bench::cli::Harness;
+use bfbp_bench::{banner, print_mpki_table};
 use bfbp_sim::engine::{sweep, SweepOptions};
 use bfbp_sim::registry::PredictorSpec;
-use bfbp_sim::runner::SuiteRunner;
 
 fn main() {
-    let scale = scale(0.2);
-    banner("calibration", &format!("suite scale {scale}"));
+    let harness = Harness::from_env(0.2);
+    banner("calibration", &format!("suite scale {}", harness.scale));
     let registry = bfbp::default_registry();
-    let runner = SuiteRunner::generate(scale);
+    let runner = harness.suite_runner();
     let labels = [
         "pwl",
         "snap",
@@ -54,7 +54,7 @@ fn main() {
         .map(|l| report.try_results(l).expect("label from our own spec list"))
         .collect();
     print_mpki_table(&labels, &series);
-    if let Ok(path) = report.write_json("calibrate") {
+    if let Ok(path) = report.write_json(&harness.results_dir, "calibrate") {
         eprintln!("results: {}", path.display());
     }
 }

@@ -18,11 +18,10 @@
 
 use std::process::ExitCode;
 
-use bfbp_bench::cli::CommonArgs;
+use bfbp_bench::cli::{CommonArgs, Harness};
 use bfbp_sim::obs::{job_obs_json, Event, EventJournal, JobObs};
 use bfbp_sim::registry::PredictorSpec;
 use bfbp_sim::simulate::Simulation;
-use bfbp_trace::cache::TraceCache;
 use bfbp_trace::synth::suite;
 
 fn main() -> ExitCode {
@@ -47,7 +46,7 @@ fn main() -> ExitCode {
             other => positional.push(other.to_owned()),
         }
     }
-    if let Err(e) = common.ensure_only(&["--events"]) {
+    if let Err(e) = common.ensure_only(&["--events", "--trace-cache"]) {
         return usage(&e);
     }
     let name = positional
@@ -77,9 +76,10 @@ fn main() -> ExitCode {
     let Some(trace_spec) = suite::find(&name) else {
         return usage(&format!("unknown trace {name:?}"));
     };
-    // Served from the machine-wide trace cache when warm; see
-    // `bfbp_trace::cache` for the `BFBP_TRACE_CACHE` knob.
-    let (trace, _status) = TraceCache::from_env().fetch(&trace_spec, trace_spec.default_len());
+    // Served from the trace cache (`BFBP_TRACE_CACHE`, `--trace-cache`)
+    // when warm.
+    let cache = Harness::from_env(1.0).with_flags(&common).cache;
+    let (trace, _status) = cache.fetch(&trace_spec, trace_spec.default_len());
 
     let mut obs = JobObs::default();
     let mut observe = |pc, taken, mispredicted| obs.h2p.record(pc, taken, mispredicted);

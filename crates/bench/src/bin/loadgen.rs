@@ -29,12 +29,11 @@
 use std::process::ExitCode;
 use std::time::{Duration, Instant};
 
-use bfbp_bench::cli::CommonArgs;
+use bfbp_bench::cli::{CommonArgs, Harness};
 use bfbp_sim::registry::PredictorSpec;
 use bfbp_sim::service::{ServeClient, ServeError};
 use bfbp_sim::simulate::Simulation;
 use bfbp_sim::wire::SessionStats;
-use bfbp_trace::cache::TraceCache;
 use bfbp_trace::source::TraceChunk;
 use bfbp_trace::synth::suite;
 
@@ -88,7 +87,7 @@ fn main() -> ExitCode {
             other => return usage(&format!("unknown argument {other:?}")),
         }
     }
-    if let Err(e) = common.ensure_only(&[]) {
+    if let Err(e) = common.ensure_only(&["--trace-cache"]) {
         return usage(&e);
     }
     let Some(addr) = addr else {
@@ -105,7 +104,7 @@ fn main() -> ExitCode {
         Ok(s) => s,
         Err(e) => return usage(&format!("bad spec {spec_text:?}: {e}")),
     };
-    let cache = TraceCache::from_env();
+    let cache = Harness::from_env(1.0).with_flags(&common).cache;
     let mut traces: Vec<(String, TraceChunk, SessionStats)> = Vec::new();
     for name in &trace_names {
         let Some(trace_spec) = suite::find(name) else {

@@ -1,9 +1,10 @@
 //! Runs every figure and table experiment in sequence — the full
 //! evaluation of the paper (EXPERIMENTS.md records one such run).
 //!
-//! `--retries N` and `--timeout MS` harden every sweep in the campaign
-//! (they export `BFBP_SWEEP_RETRIES` / `BFBP_SWEEP_TIMEOUT_MS`, which
-//! the experiment driver reads per sweep), so one pathological job
+//! Settings come from the documented variables (`bfbp_bench::cli`)
+//! with the flags laid over them, and every sweep of the campaign runs
+//! with them. `--retries N` and `--timeout MS` (`BFBP_SWEEP_RETRIES`,
+//! `BFBP_SWEEP_TIMEOUT_MS`) harden every sweep, so one pathological job
 //! degrades to a partial figure instead of killing the whole run.
 //!
 //! `--metrics` (`BFBP_SWEEP_METRICS=1`) collects per-job introspection
@@ -15,8 +16,16 @@
 //! force the content-addressed trace cache on or off; by default the
 //! cache is enabled at `target/trace-cache/`, so a second full run
 //! performs zero synthetic generation.
+//!
+//! `--journal`, `--resume` and `--metrics-out` are rejected, since one
+//! path cannot serve the campaign's many sweeps; so are `--threads` and
+//! `--progress`, which the campaign has never honored.
+
+use bfbp_bench::cli::{CommonArgs, Harness};
+use bfbp_bench::experiments;
+
 fn main() {
-    let mut common = bfbp_bench::cli::CommonArgs::default();
+    let mut common = CommonArgs::default();
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match common.try_consume(&arg, &mut args) {
@@ -25,31 +34,42 @@ fn main() {
             Err(e) => die(&e),
         }
     }
-    // This driver configures the per-experiment sweeps through the
-    // environment; flags without an env equivalent are rejected here.
-    if let Err(e) = common.export_env() {
+    if let Err(e) = common.ensure_only(&[
+        "--retries",
+        "--backoff",
+        "--timeout",
+        "--checkpoint-every",
+        "--checkpoint-dir",
+        "--metrics",
+        "--events",
+        "--flight-recorder",
+        "--postmortem-dir",
+        "--trace-cache",
+    ]) {
         die(&e);
     }
-    let scale = bfbp_bench::scale(1.0);
-    bfbp_bench::experiments::fig02_bias(scale);
-    bfbp_bench::experiments::fig08_mpki(scale);
-    bfbp_bench::experiments::fig08_32kb(scale);
-    bfbp_bench::experiments::fig09_ablation(scale);
-    bfbp_bench::experiments::fig10_tables(scale);
-    bfbp_bench::experiments::fig11_relative(scale);
-    bfbp_bench::experiments::fig12_hits(scale);
-    bfbp_bench::experiments::table1_storage(scale);
-    bfbp_bench::experiments::budget_frontier(scale);
-    bfbp_bench::experiments::profile_assist(scale);
-    bfbp_bench::experiments::design_ablations(scale);
-    bfbp_bench::experiments::relearning_perturbation();
+    let harness = Harness::from_env(1.0).with_flags(&common);
+    experiments::fig02_bias(&harness);
+    experiments::fig08_mpki(&harness);
+    experiments::fig08_32kb(&harness);
+    experiments::fig09_ablation(&harness);
+    experiments::fig10_tables(&harness);
+    experiments::fig11_relative(&harness);
+    experiments::fig12_hits(&harness);
+    experiments::table1_storage(&harness);
+    experiments::budget_frontier(&harness);
+    experiments::profile_assist(&harness);
+    experiments::design_ablations(&harness);
+    experiments::relearning_perturbation();
 }
 
 fn die(err: &str) -> ! {
     eprintln!("error: {err}");
     eprintln!(
-        "usage: run_all [--retries N] [--backoff MS] [--timeout MS] [--metrics] \
-         [--events PATH] [--trace-cache|--no-trace-cache]"
+        "usage: run_all [--retries N] [--backoff MS] [--timeout MS] [--metrics]\n\
+        \x20              [--events PATH] [--checkpoint-every N] [--checkpoint-dir DIR]\n\
+        \x20              [--flight-recorder N] [--postmortem-dir DIR]\n\
+        \x20              [--trace-cache|--no-trace-cache]"
     );
     std::process::exit(2);
 }

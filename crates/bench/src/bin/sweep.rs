@@ -31,12 +31,13 @@
 //! introspection counters and the top-N hard-to-predict PC table into a
 //! `bfbp-metrics/1` document (never perturbing the `bfbp-sweep/2`
 //! results); `--events-out` appends a `bfbp-events/1` JSONL span/event
-//! journal (sweep → job spans, retries, timeouts); `--progress` draws a
-//! live job-completion line on stderr; `--flight-recorder N` keeps the
-//! last N decisions per job in a ring buffer and, together with
-//! `--postmortem-dir`, dumps them as a `bfbp-postmortem/1` document
-//! whenever a job fails, times out, or is killed (render dumps and
-//! export journals with the `forensics` binary).
+//! journal (suite trace fetches, sweep → job spans, retries, timeouts);
+//! `--progress` draws a live job-completion line on stderr;
+//! `--flight-recorder N` keeps the last N decisions per job in a ring
+//! buffer and, together with `--postmortem-dir`, dumps them as a
+//! `bfbp-postmortem/1` document whenever a job fails, times out, or is
+//! killed (render dumps and export journals with the `forensics`
+//! binary).
 //!
 //! Fault tolerance: failed jobs are retried `--retries` times with
 //! `--backoff` between attempts; `--timeout` bounds each job's wall
@@ -52,12 +53,11 @@
 
 use std::process::ExitCode;
 
-use bfbp_bench::cli::{CommonArgs, FromCli};
-use bfbp_bench::{banner, print_mpki_table, scale};
-use bfbp_sim::engine::{sweep, sweep_inputs, SweepOptions, TraceInput};
+use bfbp_bench::cli::{CommonArgs, Harness};
+use bfbp_bench::{banner, print_mpki_table};
+use bfbp_sim::engine::{sweep, sweep_inputs, TraceInput};
 use bfbp_sim::fault::FaultPlan;
 use bfbp_sim::registry::PredictorSpec;
-use bfbp_sim::runner::SuiteRunner;
 
 fn main() -> ExitCode {
     let registry = bfbp::default_registry();
@@ -123,21 +123,22 @@ fn main() -> ExitCode {
         return usage("no predictor specs given");
     }
     // Environment knobs first, explicit flags on top.
-    let mut options = SweepOptions::from_cli(&common);
+    let mut harness = Harness::from_env(1.0).with_flags(&common);
     if let Some(insts) = interval {
-        options.interval_insts = insts;
+        harness.sweep.interval_insts = insts;
     }
-    options.fault_plan = fault_plan;
-    let metrics_out = common.metrics_out.clone();
+    harness.sweep.fault_plan = fault_plan;
 
     let result = if trace_files.is_empty() {
-        let scale = scale(1.0);
         banner(
             "sweep",
-            &format!("{} spec(s) over the suite at scale {scale}", specs.len()),
+            &format!(
+                "{} spec(s) over the suite at scale {}",
+                specs.len(),
+                harness.scale
+            ),
         );
-        let runner = SuiteRunner::generate(scale);
-        sweep(&registry, &specs, &runner, &options)
+        sweep(&registry, &specs, &harness.suite_runner(), &harness.sweep)
     } else {
         banner(
             "sweep",
@@ -153,7 +154,7 @@ fn main() -> ExitCode {
                 eprintln!("warning: trace {name:?} unavailable: {error}");
             }
         }
-        sweep_inputs(&registry, &specs, &inputs, &options)
+        sweep_inputs(&registry, &specs, &inputs, &harness.sweep)
     };
     let report = match result {
         Ok(r) => r,
@@ -219,16 +220,16 @@ fn main() -> ExitCode {
         report.cpu().as_secs_f64() * 1e3,
         report.speedup()
     );
-    match report.write_json(&run) {
+    match report.write_json(&harness.results_dir, &run) {
         Ok(path) => println!("results: {}", path.display()),
         Err(e) => {
             eprintln!("cannot write results JSON: {e}");
             return ExitCode::FAILURE;
         }
     }
-    if let Some(path) = metrics_out {
+    if let Some(path) = &common.metrics_out {
         match report.metrics_json() {
-            Some(json) => match std::fs::write(&path, json) {
+            Some(json) => match std::fs::write(path, json) {
                 Ok(()) => println!("metrics: {}", path.display()),
                 Err(e) => {
                     eprintln!("cannot write metrics JSON: {e}");

@@ -27,9 +27,8 @@
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use bfbp_bench::cli::{CommonArgs, FromCli};
-use bfbp_bench::{banner, scale};
-use bfbp_sim::engine::SweepOptions;
+use bfbp_bench::banner;
+use bfbp_bench::cli::{CommonArgs, Harness};
 use bfbp_sim::tune::{tune, SearchSpace, TuneOptions};
 use bfbp_trace::synth::suite;
 
@@ -109,8 +108,8 @@ fn main() -> ExitCode {
         "--backoff",
         "--timeout",
         "--events",
-        "--metrics",
         "--progress",
+        "--trace-cache",
     ]) {
         return usage(&e);
     }
@@ -136,20 +135,18 @@ fn main() -> ExitCode {
     };
 
     let budget_bits = budget_kbits * 1024;
-    let mut options = TuneOptions {
+    let harness = Harness::from_env(1.0).with_flags(&common);
+    let options = TuneOptions {
         eta,
         rungs,
         samples,
         seed,
-        scale: scale(1.0),
+        scale: harness.scale,
         state,
         resume,
-        sweep: SweepOptions::from_cli(&common),
+        sweep: harness.sweep,
+        cache: harness.cache,
     };
-    // Rung-level journaling is the tuner's own; keep the engine's
-    // sweep journal knobs out of the per-rung batches.
-    options.sweep.journal = None;
-    options.sweep.resume_from = None;
 
     banner(
         "tune",
@@ -223,7 +220,7 @@ fn usage(err: &str) -> ExitCode {
                      [common flags]\n\
          space: name[:key=lo..hi[/step],key=a|b|c,key=value,...]\n\
          supported common flags: --threads --retries --backoff --timeout\n\
-                     --events --metrics --progress --trace-cache|--no-trace-cache\n\
+                     --events --progress --trace-cache|--no-trace-cache\n\
          {}",
         bfbp_bench::cli::COMMON_USAGE
     );

@@ -1,24 +1,32 @@
-//! Shared command-line parsing for the experiment binaries.
+//! Settings from the command line and the environment, for the
+//! experiment binaries.
 //!
-//! `sweep`, `run_all`, `diagnose`, `forensics`, `serve`, and `loadgen`
-//! accept an overlapping set of engine-tuning flags (threads, retries,
-//! timeouts, journals, observability outputs, trace-cache control).
-//! [`CommonArgs`] parses them once so the binaries cannot drift apart:
-//! each binary calls [`CommonArgs::try_consume`] first in its flag loop
-//! and handles only its own flags when that returns `Ok(false)`. The
-//! collected values are then consumed one of three ways: built straight
-//! into an in-process [`SweepOptions`] ([`SweepOptions::from_cli`] via
-//! the [`FromCli`] extension, the `sweep` workflow), exported as the
-//! `BFBP_SWEEP_*` environment variables the per-experiment sweeps read
-//! ([`CommonArgs::export_env`], the `run_all` workflow), or read field
-//! by field (the serve binaries). Binaries that honor only a few of the
-//! common flags call [`CommonArgs::ensure_only`] so the rest fail
-//! loudly instead of being silently ignored.
+//! This is the one module of the workspace that reads the process
+//! environment. Each binary's `main` builds one [`Harness`] from the
+//! documented variables ([`Harness::from_env`]), lays the shared flags
+//! over it ([`Harness::with_flags`]) and passes it down: the
+//! experiments, the sweep engine, the suite runner and the tuner take
+//! their settings as arguments and read no variable. A flag wins over
+//! its variable.
+//!
+//! README's "Settings" table lists the variables and their flags.
+//! Unset or malformed variables leave the defaults.
+//!
+//! [`CommonArgs`] parses the flags the binaries share, so they cannot
+//! drift apart: each binary calls [`CommonArgs::try_consume`] first in
+//! its flag loop and handles only its own flags when that returns
+//! `Ok(false)`. Binaries that honor only some of the common flags call
+//! [`CommonArgs::ensure_only`], so the rest fail loudly instead of
+//! being silently ignored.
 
 use std::path::PathBuf;
 use std::time::Duration;
 
-use bfbp_sim::engine::SweepOptions;
+use bfbp_sim::engine::{RetryPolicy, SweepOptions};
+use bfbp_sim::obs::EventJournal;
+use bfbp_sim::runner::SuiteRunner;
+use bfbp_trace::cache::TraceCache;
+use bfbp_trace::synth::suite;
 
 /// Usage text for the flags [`CommonArgs::try_consume`] understands,
 /// for embedding in a binary's `usage:` message.
@@ -48,21 +56,98 @@ common flags:
   --trace-cache | --no-trace-cache
                        force the content-addressed trace cache on/off";
 
-/// Handles `--trace-cache` / `--no-trace-cache` by exporting the
-/// machine-wide `BFBP_TRACE_CACHE` knob every trace consumer reads;
-/// returns whether `arg` was one of the two.
-pub fn trace_cache_flag(arg: &str) -> bool {
-    match arg {
-        "--trace-cache" => std::env::set_var("BFBP_TRACE_CACHE", "1"),
-        "--no-trace-cache" => std::env::set_var("BFBP_TRACE_CACHE", "0"),
-        _ => return false,
+/// Everything an experiment binary takes from its environment and its
+/// shared flags: built once in `main` and passed down by reference.
+#[derive(Debug, PartialEq)]
+pub struct Harness {
+    /// Trace-length scale factor (1.0 = the suite's default lengths).
+    pub scale: f64,
+    /// Options of every sweep the binary runs.
+    pub sweep: SweepOptions,
+    /// Where suite traces are served from.
+    pub cache: TraceCache,
+    /// Directory results documents are written to.
+    pub results_dir: PathBuf,
+}
+
+impl Harness {
+    /// Reads the variables of README's "Settings" table from the
+    /// process environment; `default_scale` applies when
+    /// `BFBP_TRACE_SCALE` is unset or malformed.
+    pub fn from_env(default_scale: f64) -> Self {
+        Self::from_lookup(default_scale, |name| std::env::var(name).ok())
     }
-    true
+
+    /// [`Harness::from_env`] with the variables read through `lookup`,
+    /// so tests can pin the environment instead of mutating the real
+    /// (process-global) one.
+    pub fn from_lookup(default_scale: f64, lookup: impl Fn(&str) -> Option<String>) -> Self {
+        let num = |name: &str| lookup(name).and_then(|v| v.parse::<u64>().ok());
+        let path = |name: &str| lookup(name).filter(|p| !p.is_empty()).map(PathBuf::from);
+        let sweep = SweepOptions {
+            retry: RetryPolicy::retries(
+                num("BFBP_SWEEP_RETRIES").unwrap_or(0) as u32,
+                Duration::from_millis(num("BFBP_SWEEP_BACKOFF_MS").unwrap_or(0)),
+            ),
+            timeout: num("BFBP_SWEEP_TIMEOUT_MS")
+                .filter(|ms| *ms > 0)
+                .map(Duration::from_millis),
+            metrics: lookup("BFBP_SWEEP_METRICS").is_some_and(|v| !v.is_empty() && v != "0"),
+            events: path("BFBP_SWEEP_EVENTS"),
+            checkpoint_every: num("BFBP_SWEEP_CKPT_EVERY").unwrap_or(0),
+            checkpoint_dir: path("BFBP_SWEEP_CKPT_DIR"),
+            flight_recorder: num("BFBP_SWEEP_FLIGHT").unwrap_or(0) as usize,
+            postmortem_dir: path("BFBP_SWEEP_FLIGHT_DIR"),
+            ..SweepOptions::new()
+        };
+        let cache = match lookup("BFBP_TRACE_CACHE").as_deref() {
+            None | Some("" | "1" | "on") => TraceCache::default_location(),
+            Some("0" | "off") => TraceCache::disabled(),
+            Some(dir) => TraceCache::at(dir),
+        };
+        Self {
+            scale: lookup("BFBP_TRACE_SCALE")
+                .and_then(|v| v.parse::<f64>().ok())
+                .filter(|v| *v > 0.0)
+                .unwrap_or(default_scale),
+            sweep,
+            cache,
+            results_dir: lookup("BFBP_RESULTS_DIR")
+                .map_or_else(|| PathBuf::from("target").join("results"), PathBuf::from),
+        }
+    }
+
+    /// Overlays every given flag of `common` (fields left `None` keep
+    /// what the variables set). `--trace-cache` selects the default
+    /// cache location and `--no-trace-cache` disables the cache.
+    pub fn with_flags(mut self, common: &CommonArgs) -> Self {
+        common.apply_to(&mut self.sweep);
+        if let Some(on) = common.trace_cache {
+            self.cache = if on {
+                TraceCache::default_location()
+            } else {
+                TraceCache::disabled()
+            };
+        }
+        self
+    }
+
+    /// The 40-trace suite at [`Harness::scale`], served from
+    /// [`Harness::cache`]. Each fetch is journaled as a `trace_cache`
+    /// event to the sweep's events journal, when one is named.
+    pub fn suite_runner(&self) -> SuiteRunner {
+        let events = self
+            .sweep
+            .events
+            .as_ref()
+            .and_then(|path| EventJournal::open(path).ok());
+        SuiteRunner::from_specs_cached(suite::suite(), self.scale, &self.cache, events.as_ref())
+    }
 }
 
 /// The engine-tuning flags shared by the experiment binaries. Every
 /// field is optional so a binary can distinguish "flag given" from
-/// "leave the [`SweepOptions::from_env`] / built-in default alone".
+/// "leave the variable or the built-in default alone".
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct CommonArgs {
     /// `--threads N`.
@@ -94,6 +179,9 @@ pub struct CommonArgs {
     pub postmortem_dir: Option<PathBuf>,
     /// `--progress`.
     pub progress: bool,
+    /// `--trace-cache` (`Some(true)`) or `--no-trace-cache`
+    /// (`Some(false)`).
+    pub trace_cache: Option<bool>,
 }
 
 impl CommonArgs {
@@ -152,16 +240,18 @@ impl CommonArgs {
                 self.postmortem_dir = Some(value(args, arg, "a directory")?.into());
             }
             "--progress" => self.progress = true,
-            other => return Ok(trace_cache_flag(other)),
+            "--trace-cache" => self.trace_cache = Some(true),
+            "--no-trace-cache" => self.trace_cache = Some(false),
+            _ => return Ok(false),
         }
         Ok(true)
     }
 
-    /// Overlays every given flag on `options` (fields left `None` keep
-    /// whatever `options` already holds, e.g. from
-    /// [`SweepOptions::from_env`]). `--resume` also checkpoints to the
-    /// resumed journal unless `--journal` names another file.
-    pub fn apply_to(&self, options: &mut SweepOptions) {
+    /// Overlays every given engine flag on `options`; fields left
+    /// `None` keep whatever `options` already holds. `--resume` also
+    /// checkpoints to the resumed journal unless `--journal` names
+    /// another file.
+    fn apply_to(&self, options: &mut SweepOptions) {
         if let Some(n) = self.threads {
             options.threads = n;
         }
@@ -205,10 +295,9 @@ impl CommonArgs {
         }
     }
 
-    /// Rejects any given flag that `supported` does not list, with the
-    /// same user-facing message [`CommonArgs::export_env`] uses — for
-    /// binaries that reuse the common parser but honor only a few of
-    /// its flags (`diagnose`, `forensics`, `serve`, `loadgen`).
+    /// Rejects any given flag that `supported` does not list, for
+    /// binaries that reuse the common parser but honor only some of its
+    /// flags. `"--trace-cache"` in `supported` admits both spellings.
     pub fn ensure_only(&self, supported: &[&str]) -> Result<(), String> {
         let given = [
             (self.threads.is_some(), "--threads"),
@@ -225,86 +314,18 @@ impl CommonArgs {
             (self.flight_recorder.is_some(), "--flight-recorder"),
             (self.postmortem_dir.is_some(), "--postmortem-dir"),
             (self.progress, "--progress"),
+            (self.trace_cache.is_some(), "--trace-cache"),
         ];
         for (was_given, flag) in given {
             if was_given && !supported.contains(&flag) {
+                let flag = match self.trace_cache {
+                    Some(false) if flag == "--trace-cache" => "--no-trace-cache",
+                    _ => flag,
+                };
                 return Err(format!("{flag} is not supported by this binary"));
             }
         }
         Ok(())
-    }
-
-    /// Exports the given flags as the `BFBP_SWEEP_*` environment
-    /// variables that configure every sweep a child experiment runs
-    /// (`run_all` hardens its whole campaign this way).
-    ///
-    /// # Errors
-    ///
-    /// Flags with no environment equivalent (`--threads`, `--journal`,
-    /// `--resume`, `--metrics-out`, `--progress`) are rejected rather
-    /// than silently dropped.
-    pub fn export_env(&self) -> Result<(), String> {
-        let unsupported = [
-            (self.threads.is_some(), "--threads"),
-            (self.journal.is_some(), "--journal"),
-            (self.resume.is_some(), "--resume"),
-            (self.metrics_out.is_some(), "--metrics-out"),
-            (self.progress, "--progress"),
-        ];
-        for (given, flag) in unsupported {
-            if given {
-                return Err(format!("{flag} is not supported by this binary"));
-            }
-        }
-        if let Some(retries) = self.retries {
-            std::env::set_var("BFBP_SWEEP_RETRIES", retries.to_string());
-        }
-        if let Some(ms) = self.backoff_ms {
-            std::env::set_var("BFBP_SWEEP_BACKOFF_MS", ms.to_string());
-        }
-        if let Some(ms) = self.timeout_ms {
-            std::env::set_var("BFBP_SWEEP_TIMEOUT_MS", ms.to_string());
-        }
-        if self.metrics {
-            std::env::set_var("BFBP_SWEEP_METRICS", "1");
-        }
-        if let Some(path) = &self.events {
-            std::env::set_var("BFBP_SWEEP_EVENTS", path.as_os_str());
-        }
-        if let Some(every) = self.checkpoint_every {
-            std::env::set_var("BFBP_SWEEP_CKPT_EVERY", every.to_string());
-        }
-        if let Some(dir) = &self.checkpoint_dir {
-            std::env::set_var("BFBP_SWEEP_CKPT_DIR", dir.as_os_str());
-        }
-        if let Some(capacity) = self.flight_recorder {
-            std::env::set_var("BFBP_SWEEP_FLIGHT", capacity.to_string());
-        }
-        if let Some(dir) = &self.postmortem_dir {
-            std::env::set_var("BFBP_SWEEP_FLIGHT_DIR", dir.as_os_str());
-        }
-        Ok(())
-    }
-}
-
-/// Extension constructor so `SweepOptions::from_cli(&common)` replaces
-/// the `SweepOptions::from_env()` + `common.apply_to(&mut options)`
-/// pair every binary used to spell by hand: environment defaults
-/// first, parsed flags overlaid.
-///
-/// (An extension trait because inherent impls must live in the
-/// defining crate — `SweepOptions` is `bfbp_sim`'s, `CommonArgs` is
-/// ours.)
-pub trait FromCli {
-    /// Environment defaults overlaid with the parsed common flags.
-    fn from_cli(common: &CommonArgs) -> Self;
-}
-
-impl FromCli for SweepOptions {
-    fn from_cli(common: &CommonArgs) -> Self {
-        let mut options = SweepOptions::from_env();
-        common.apply_to(&mut options);
-        options
     }
 }
 
@@ -370,18 +391,24 @@ mod tests {
 
     #[test]
     fn missing_or_malformed_values_are_user_facing_errors() {
-        assert_eq!(
-            consume_all(&["--threads"]).unwrap_err(),
-            "--threads needs a thread count"
-        );
-        assert_eq!(
-            consume_all(&["--timeout", "soon"]).unwrap_err(),
-            "--timeout needs milliseconds"
-        );
-        assert_eq!(
-            consume_all(&["--journal"]).unwrap_err(),
-            "--journal needs a path"
-        );
+        let cases: [(&[&str], &str); 7] = [
+            (&["--threads"], "--threads needs a thread count"),
+            (&["--timeout", "soon"], "--timeout needs milliseconds"),
+            (&["--journal"], "--journal needs a path"),
+            (
+                &["--checkpoint-every", "soon"],
+                "--checkpoint-every needs a record count",
+            ),
+            (&["--checkpoint-dir"], "--checkpoint-dir needs a directory"),
+            (
+                &["--flight-recorder", "many"],
+                "--flight-recorder needs a decision count",
+            ),
+            (&["--postmortem-dir"], "--postmortem-dir needs a directory"),
+        ];
+        for (line, error) in cases {
+            assert_eq!(consume_all(line).unwrap_err(), error);
+        }
     }
 
     #[test]
@@ -394,19 +421,6 @@ mod tests {
         assert_eq!(options.retry.backoff, Duration::from_millis(25));
         assert_eq!(options.timeout, None);
         assert!(!options.metrics);
-    }
-
-    #[test]
-    fn timeout_zero_means_no_timeout() {
-        let (common, _) = consume_all(&["--timeout", "250"]).unwrap();
-        let mut options = SweepOptions::default();
-        common.apply_to(&mut options);
-        assert_eq!(options.timeout, Some(Duration::from_millis(250)));
-        // `--timeout 0` clears a timeout the environment set, rather
-        // than giving every job a zero budget.
-        let (common, _) = consume_all(&["--timeout", "0"]).unwrap();
-        common.apply_to(&mut options);
-        assert_eq!(options.timeout, None);
     }
 
     #[test]
@@ -433,58 +447,6 @@ mod tests {
     }
 
     #[test]
-    fn checkpoint_flags_apply_to_options() {
-        let mut options = SweepOptions::default();
-        let (common, rest) =
-            consume_all(&["--checkpoint-every", "50000", "--checkpoint-dir", "ckpts"]).unwrap();
-        assert!(rest.is_empty());
-        common.apply_to(&mut options);
-        assert_eq!(options.checkpoint_every, 50_000);
-        assert_eq!(
-            options.checkpoint_dir.as_deref(),
-            Some(std::path::Path::new("ckpts"))
-        );
-        assert_eq!(
-            consume_all(&["--checkpoint-every", "soon"]).unwrap_err(),
-            "--checkpoint-every needs a record count"
-        );
-        assert_eq!(
-            consume_all(&["--checkpoint-dir"]).unwrap_err(),
-            "--checkpoint-dir needs a directory"
-        );
-    }
-
-    #[test]
-    fn flight_recorder_flags_apply_to_options() {
-        let mut options = SweepOptions::default();
-        let (common, rest) =
-            consume_all(&["--flight-recorder", "256", "--postmortem-dir", "pm"]).unwrap();
-        assert!(rest.is_empty());
-        common.apply_to(&mut options);
-        assert_eq!(options.flight_recorder, 256);
-        assert_eq!(
-            options.postmortem_dir.as_deref(),
-            Some(std::path::Path::new("pm"))
-        );
-        assert_eq!(
-            consume_all(&["--flight-recorder", "many"]).unwrap_err(),
-            "--flight-recorder needs a decision count"
-        );
-        assert_eq!(
-            consume_all(&["--postmortem-dir"]).unwrap_err(),
-            "--postmortem-dir needs a directory"
-        );
-    }
-
-    #[test]
-    fn from_cli_overlays_flags_on_env_defaults() {
-        let (common, _) = consume_all(&["--retries", "3", "--backoff", "25"]).unwrap();
-        let options = SweepOptions::from_cli(&common);
-        assert_eq!(options.retry.max_attempts, 4);
-        assert_eq!(options.retry.backoff, Duration::from_millis(25));
-    }
-
-    #[test]
     fn ensure_only_rejects_unsupported_flags() {
         let (common, _) = consume_all(&["--events", "e.jsonl", "--threads", "2"]).unwrap();
         assert!(common.ensure_only(&["--events", "--threads"]).is_ok());
@@ -492,14 +454,133 @@ mod tests {
             common.ensure_only(&["--events"]).unwrap_err(),
             "--threads is not supported by this binary"
         );
+        // Both cache spellings are one flag to `ensure_only`, and the
+        // error names the one given.
+        for (flag, on) in [("--trace-cache", true), ("--no-trace-cache", false)] {
+            let (common, rest) = consume_all(&[flag]).unwrap();
+            assert!(rest.is_empty());
+            assert_eq!(common.trace_cache, Some(on));
+            assert!(common.ensure_only(&["--trace-cache"]).is_ok());
+            assert_eq!(
+                common.ensure_only(&["--events"]).unwrap_err(),
+                format!("{flag} is not supported by this binary")
+            );
+        }
+    }
+
+    /// The setting the documented variable `BFBP_<var>` controls,
+    /// rendered (`-` for none).
+    fn setting(h: &Harness, var: &str) -> String {
+        let path = |p: Option<&std::path::Path>| p.map_or("-".into(), |p| p.display().to_string());
+        match var {
+            "TRACE_SCALE" => h.scale.to_string(),
+            "RESULTS_DIR" => path(Some(&h.results_dir)),
+            "TRACE_CACHE" => path(h.cache.dir()),
+            "SWEEP_RETRIES" => h.sweep.retry.max_attempts.to_string(),
+            "SWEEP_BACKOFF_MS" => h.sweep.retry.backoff.as_millis().to_string(),
+            "SWEEP_TIMEOUT_MS" => h
+                .sweep
+                .timeout
+                .map_or("-".into(), |t| t.as_millis().to_string()),
+            "SWEEP_METRICS" => h.sweep.metrics.to_string(),
+            "SWEEP_EVENTS" => path(h.sweep.events.as_deref()),
+            "SWEEP_CKPT_EVERY" => h.sweep.checkpoint_every.to_string(),
+            "SWEEP_CKPT_DIR" => path(h.sweep.checkpoint_dir.as_deref()),
+            "SWEEP_FLIGHT" => h.sweep.flight_recorder.to_string(),
+            "SWEEP_FLIGHT_DIR" => path(h.sweep.postmortem_dir.as_deref()),
+            other => panic!("undocumented variable BFBP_{other}"),
+        }
+    }
+
+    /// A harness with only `BFBP_<var>` set, to `value`.
+    fn only(var: &str, value: &str) -> Harness {
+        Harness::from_lookup(0.5, |name| {
+            (name.strip_prefix("BFBP_") == Some(var)).then(|| value.to_owned())
+        })
     }
 
     #[test]
-    fn export_env_rejects_flags_without_env_equivalents() {
-        let (common, _) = consume_all(&["--progress"]).unwrap();
-        assert_eq!(
-            common.export_env().unwrap_err(),
-            "--progress is not supported by this binary"
-        );
+    fn every_variable_takes_effect_and_its_flag_wins() {
+        let unset = Harness::from_lookup(0.5, |_| None);
+        assert_eq!(unset.scale, 0.5);
+        assert_eq!(unset.sweep, SweepOptions::new());
+        assert_eq!(unset.cache, TraceCache::default_location());
+        assert_eq!(unset.results_dir, std::path::Path::new("target/results"));
+
+        // (BFBP_<var>, its value, flags over it, the setting from the
+        // variable, the setting after the flags)
+        let rows = [
+            ("TRACE_SCALE", "0.25", "", "0.25", "0.25"),
+            ("RESULTS_DIR", "out", "", "out", "out"),
+            ("TRACE_CACHE", "c", "--no-trace-cache", "c", "-"),
+            ("SWEEP_RETRIES", "2", "--retries 0", "3", "1"),
+            ("SWEEP_BACKOFF_MS", "10", "--backoff 25", "10", "25"),
+            ("SWEEP_TIMEOUT_MS", "50", "--timeout 0", "50", "-"),
+            ("SWEEP_METRICS", "0", "--metrics", "false", "true"),
+            ("SWEEP_METRICS", "yes", "", "true", "true"),
+            ("SWEEP_EVENTS", "e", "--events-out f", "e", "f"),
+            ("SWEEP_CKPT_EVERY", "5", "--checkpoint-every 9", "5", "9"),
+            ("SWEEP_CKPT_DIR", "c", "--checkpoint-dir d", "c", "d"),
+            ("SWEEP_FLIGHT", "64", "--flight-recorder 8", "64", "8"),
+            ("SWEEP_FLIGHT_DIR", "p", "--postmortem-dir q", "p", "q"),
+        ];
+        for (var, value, flags, from_var, from_flags) in rows {
+            let harness = only(var, value);
+            assert_eq!(setting(&harness, var), from_var, "BFBP_{var}={value}");
+            let line: Vec<&str> = flags.split_whitespace().collect();
+            let (common, rest) = consume_all(&line).unwrap();
+            assert!(rest.is_empty());
+            let harness = harness.with_flags(&common);
+            assert_eq!(
+                setting(&harness, var),
+                from_flags,
+                "BFBP_{var} under {flags}"
+            );
+        }
+        let off = only("TRACE_CACHE", "off");
+        assert!(!off.cache.is_enabled());
+        let (common, _) = consume_all(&["--trace-cache"]).unwrap();
+        assert_eq!(off.with_flags(&common).cache, unset.cache);
+
+        // Malformed numbers and empty paths leave the defaults.
+        let ignored = [
+            ("TRACE_SCALE", "0"),
+            ("TRACE_SCALE", "-1"),
+            ("TRACE_SCALE", "zoom"),
+            ("TRACE_CACHE", "on"),
+            ("SWEEP_RETRIES", "many"),
+            ("SWEEP_BACKOFF_MS", "-1"),
+            ("SWEEP_TIMEOUT_MS", "0"),
+            ("SWEEP_TIMEOUT_MS", "soon"),
+            ("SWEEP_METRICS", ""),
+            ("SWEEP_EVENTS", ""),
+            ("SWEEP_CKPT_EVERY", "often"),
+            ("SWEEP_CKPT_DIR", ""),
+            ("SWEEP_FLIGHT", "1.5"),
+            ("SWEEP_FLIGHT_DIR", ""),
+        ];
+        for (var, value) in ignored {
+            assert_eq!(only(var, value), unset, "BFBP_{var}={value:?}");
+        }
+    }
+
+    #[test]
+    fn suite_runner_journals_every_fetch_to_the_flagged_events_file() {
+        let events =
+            std::env::temp_dir().join(format!("bfbp-cli-events-{}.jsonl", std::process::id()));
+        let _ = std::fs::remove_file(&events);
+        let (common, _) =
+            consume_all(&["--events-out", events.to_str().unwrap(), "--no-trace-cache"]).unwrap();
+        let runner = Harness::from_lookup(0.001, |_| None)
+            .with_flags(&common)
+            .suite_runner();
+        assert_eq!(runner.traces().len(), 40);
+        let journal = std::fs::read_to_string(&events).unwrap();
+        let fetches = journal
+            .lines()
+            .filter(|line| line.contains("\"ev\": \"trace_cache\""))
+            .count();
+        assert_eq!(fetches, 40);
+        let _ = std::fs::remove_file(&events);
     }
 }

@@ -6,57 +6,46 @@
 //! Predictor configurations are [`PredictorSpec`]s built through the
 //! workspace registry ([`bfbp::default_registry`]) and executed by the
 //! parallel sweep engine ([`bfbp_sim::engine::sweep`]); each figure also
-//! drops a machine-readable JSON document under `target/results/`
-//! (`$BFBP_RESULTS_DIR` overrides the directory). The handful of
-//! experiments that need concrete predictor internals (provider
-//! statistics, explicit classifiers, the idealized Algorithm 1) still
-//! construct those types directly.
+//! drops a machine-readable JSON document into
+//! [`Harness::results_dir`]. The handful of experiments that need
+//! concrete predictor internals (provider statistics, explicit
+//! classifiers, the idealized Algorithm 1) still construct those types
+//! directly.
 //!
-//! Scale: all functions take a trace-length scale factor (1.0 = the
-//! suite's default lengths); harness binaries pass
-//! `env_scale`-controlled values so `BFBP_TRACE_SCALE=0.05` gives a quick
-//! smoke run.
+//! Settings: every experiment takes the binary's [`Harness`], whose
+//! [`scale`](Harness::scale) sets trace lengths (1.0 = the suite's
+//! default lengths; `BFBP_TRACE_SCALE=0.05` gives a quick smoke run),
+//! whose [`cache`](Harness::cache) serves the traces and whose
+//! [`sweep`](Harness::sweep) options every sweep runs with.
 
 use bfbp_core::bf_neural::{BfNeural, BfNeuralConfig};
 use bfbp_core::bf_tage::{bf_isl_tage, BfTage};
 use bfbp_core::bst::Classifier;
 use bfbp_core::profile::StaticProfile;
-use bfbp_sim::engine::{sweep, SweepOptions, SweepReport};
-use bfbp_sim::registry::{PredictorRegistry, PredictorSpec};
-use bfbp_sim::runner::{scaled_len, SuiteRunner};
+use bfbp_sim::engine::{sweep, SweepReport};
+use bfbp_sim::registry::PredictorSpec;
+use bfbp_sim::runner::scaled_len;
 use bfbp_sim::simulate::{simulate, SimResult};
 use bfbp_sim::storage::StorageBreakdown;
 use bfbp_sim::tune::{tune, SearchSpace, TuneError, TuneOptions};
 use bfbp_tage::config::TageConfig;
 use bfbp_tage::isl::Isl;
 use bfbp_tage::tage::Tage;
-use bfbp_trace::cache::TraceCache;
 use bfbp_trace::stats::BiasProfile;
 use bfbp_trace::synth::suite;
 
+use crate::cli::Harness;
 use crate::{banner, cell, print_mpki_table};
 
-/// Runs `specs` over the suite at `scale` through the parallel engine
-/// and writes the `<run>.json` results document. Panics on a spec that
-/// does not build — every spec here names a registered predictor.
-fn run_sweep(specs: &[PredictorSpec], scale: f64, run: &str) -> SweepReport {
+/// Runs `specs` over the suite through the parallel engine with the
+/// harness's settings and writes the `<run>.json` results document (and
+/// `<run>.metrics.json` when metrics are on). Panics on a spec that does
+/// not build — every spec here names a registered predictor.
+fn run_sweep(specs: &[PredictorSpec], harness: &Harness, run: &str) -> SweepReport {
     let registry = bfbp::default_registry();
-    let runner = SuiteRunner::generate(scale);
-    run_sweep_with(&registry, specs, &runner, run)
-}
-
-/// [`run_sweep`] against a caller-provided registry and trace suite.
-/// Fault-tolerance knobs (`BFBP_SWEEP_RETRIES`, `BFBP_SWEEP_BACKOFF_MS`,
-/// `BFBP_SWEEP_TIMEOUT_MS`) are honored from the environment.
-fn run_sweep_with(
-    registry: &PredictorRegistry,
-    specs: &[PredictorSpec],
-    runner: &SuiteRunner,
-    run: &str,
-) -> SweepReport {
-    let report = sweep(registry, specs, runner, &SweepOptions::from_env())
+    let report = sweep(&registry, specs, &harness.suite_runner(), &harness.sweep)
         .unwrap_or_else(|e| panic!("sweep {run} failed to start: {e}"));
-    match report.write_json(run) {
+    match report.write_json(&harness.results_dir, run) {
         Ok(path) => println!(
             "[{run}: {} jobs on {} threads, wall {:.0} ms, speedup {:.2}x -> {}]",
             report.jobs().len(),
@@ -67,9 +56,9 @@ fn run_sweep_with(
         ),
         Err(e) => eprintln!("warning: could not write results for {run}: {e}"),
     }
-    // With BFBP_SWEEP_METRICS on, the introspection/H2P document lands
-    // beside the results; without it this is a no-op (Ok(None)).
-    match report.write_metrics_json(run) {
+    // With metrics on, the introspection/H2P document lands beside the
+    // results; without them this is a no-op (Ok(None)).
+    match report.write_metrics_json(&harness.results_dir, run) {
         Ok(Some(path)) => println!("[{run}: metrics -> {}]", path.display()),
         Ok(None) => {}
         Err(e) => eprintln!("warning: could not write metrics for {run}: {e}"),
@@ -95,12 +84,12 @@ fn series_results(report: &SweepReport, label: &str) -> Vec<SimResult> {
 /// Figure 2: percentage of completely biased static branches per trace
 /// (plus the dynamic share, which the paper's text discusses). Returns
 /// the per-trace static percentages in suite order.
-pub fn fig02_bias(scale: f64) -> Vec<f64> {
+pub fn fig02_bias(harness: &Harness) -> Vec<f64> {
     banner(
         "Figure 2 — Biased Branches",
         "% of static conditional branches that are completely biased, per trace",
     );
-    let runner = SuiteRunner::generate(scale);
+    let runner = harness.suite_runner();
     println!(
         "{}{}{}{}",
         cell("trace", 10),
@@ -139,12 +128,12 @@ fn fig08_specs() -> Vec<PredictorSpec> {
 /// Figure 8: MPKI comparison between OH-SNAP, TAGE (15 tagged tables +
 /// loop predictor, no SC — the paper's baseline) and BF-Neural, all at a
 /// ~64 KB budget. Returns `(snap, tage, bf_neural)` mean MPKI.
-pub fn fig08_mpki(scale: f64) -> (f64, f64, f64) {
+pub fn fig08_mpki(harness: &Harness) -> (f64, f64, f64) {
     banner(
         "Figure 8 — MPKI Comparison between Various Predictors",
         "paper: OH-SNAP 2.63, TAGE 2.445, BF-Neural 2.49 (64 KB budget)",
     );
-    let report = run_sweep(&fig08_specs(), scale, "fig08");
+    let report = run_sweep(&fig08_specs(), harness, "fig08");
     let (snap, tage, bf) = (
         series_results(&report, "OH-SNAP"),
         series_results(&report, "TAGE"),
@@ -168,7 +157,7 @@ pub fn fig08_mpki(scale: f64) -> (f64, f64, f64) {
 
 /// §VI-B's 32 KB data point: BF-Neural at half the budget
 /// (paper: 2.73 MPKI). Returns the mean MPKI.
-pub fn fig08_32kb(scale: f64) -> f64 {
+pub fn fig08_32kb(harness: &Harness) -> f64 {
     banner(
         "§VI-B — BF-Neural at 32 KB",
         "paper: 2.73 MPKI (vs 2.49 at 64 KB)",
@@ -177,7 +166,7 @@ pub fn fig08_32kb(scale: f64) -> f64 {
         PredictorSpec::new("bf-neural-32kb").labeled("32kb"),
         PredictorSpec::new("bf-neural").labeled("64kb"),
     ];
-    let report = run_sweep(&specs, scale, "fig08-32kb");
+    let report = run_sweep(&specs, harness, "fig08-32kb");
     let (m32, m64) = (report.mean_mpki("32kb"), report.mean_mpki("64kb"));
     println!("BF-Neural 32 KB: {m32:.3} MPKI   BF-Neural 64 KB: {m64:.3} MPKI");
     m32
@@ -187,7 +176,7 @@ pub fn fig08_32kb(scale: f64) -> f64 {
 /// four bar means in paper order: conventional perceptron, BF-Neural
 /// (fhist), BF-Neural (ghist bias-free + fhist), BF-Neural (ghist
 /// bias-free + RS + fhist).
-pub fn fig09_ablation(scale: f64) -> [f64; 4] {
+pub fn fig09_ablation(harness: &Harness) -> [f64; 4] {
     banner(
         "Figure 9 — Contribution of Optimizations for the BF-Neural Predictor",
         "paper: 3.28 -> 2.67 -> 2.59 -> 2.49 MPKI",
@@ -208,7 +197,7 @@ pub fn fig09_ablation(scale: f64) -> [f64; 4] {
             .labeled(labels[2]),
         PredictorSpec::new("bf-neural").labeled(labels[3]),
     ];
-    let report = run_sweep(&specs, scale, "fig09");
+    let report = run_sweep(&specs, harness, "fig09");
     print_mpki_table(
         &labels,
         &labels
@@ -227,7 +216,7 @@ pub fn fig09_ablation(scale: f64) -> [f64; 4] {
 /// Figure 10: mean MPKI for 4..=10 tagged tables, ISL-TAGE vs
 /// BF-ISL-TAGE at matched storage. Returns `(isl, bf_isl)` means per
 /// table count.
-pub fn fig10_tables(scale: f64) -> Vec<(usize, f64, f64)> {
+pub fn fig10_tables(harness: &Harness) -> Vec<(usize, f64, f64)> {
     banner(
         "Figure 10 — MPKI Comparison for Different Number of Tables",
         "paper: BF-ISL-TAGE below ISL-TAGE for small-to-moderate table counts\n\
@@ -247,7 +236,7 @@ pub fn fig10_tables(scale: f64) -> Vec<(usize, f64, f64)> {
             ]
         })
         .collect();
-    let report = run_sweep(&specs, scale, "fig10");
+    let report = run_sweep(&specs, harness, "fig10");
     println!(
         "{}{}{}",
         cell("tables", 8),
@@ -274,7 +263,7 @@ pub fn fig10_tables(scale: f64) -> Vec<(usize, f64, f64)> {
 /// Figure 11: per-trace relative MPKI improvement with respect to a
 /// conventional 10-table TAGE, for the 15-table TAGE and the 10-table
 /// BF-TAGE. Returns `(trace, tage15_improvement_%, bf10_improvement_%)`.
-pub fn fig11_relative(scale: f64) -> Vec<(String, f64, f64)> {
+pub fn fig11_relative(harness: &Harness) -> Vec<(String, f64, f64)> {
     banner(
         "Figure 11 — Relative Improvement in MPKI w.r.t. TAGE with 10 Tables",
         "positive = better than 10-table TAGE; paper: BF-TAGE-10 tracks TAGE-15\n\
@@ -289,7 +278,7 @@ pub fn fig11_relative(scale: f64) -> Vec<(String, f64, f64)> {
             .labeled("t15"),
         PredictorSpec::new("bf-isl-tage").labeled("bf10"),
     ];
-    let report = run_sweep(&specs, scale, "fig11");
+    let report = run_sweep(&specs, harness, "fig11");
     let (t10, t15, bf10) = (
         series_results(&report, "t10"),
         series_results(&report, "t15"),
@@ -332,7 +321,7 @@ pub const FIG12_TRACES: [&str; 7] = [
 /// not part of the [`bfbp_sim::ConditionalPredictor`] trait, so this
 /// experiment constructs its predictors directly instead of going
 /// through the registry.
-pub fn fig12_hits(scale: f64) -> Vec<(String, f64, f64)> {
+pub fn fig12_hits(harness: &Harness) -> Vec<(String, f64, f64)> {
     banner(
         "Figure 12 — Branch-Hit Distribution over Tagged Tables",
         "percentage of predictions provided by each tagged table;\n\
@@ -341,7 +330,7 @@ pub fn fig12_hits(scale: f64) -> Vec<(String, f64, f64)> {
     let mut out = Vec::new();
     for name in FIG12_TRACES {
         let spec = suite::find(name).expect("figure 12 trace in suite");
-        let (trace, _) = TraceCache::from_env().fetch(&spec, scaled_len(&spec, scale));
+        let (trace, _) = harness.cache.fetch(&spec, scaled_len(&spec, harness.scale));
 
         let mut tage = Tage::with_tables(15);
         simulate(&mut tage, &trace);
@@ -395,7 +384,7 @@ const TABLE1_TRACES: [&str; 3] = ["SPEC03", "INT1", "SERV1"];
 /// matched conventional configuration — with measured MPKI context on a
 /// spread of suite traces served from the trace cache, like every other
 /// experiment bin. Returns the BF-TAGE breakdown.
-pub fn table1_storage(scale: f64) -> StorageBreakdown {
+pub fn table1_storage(harness: &Harness) -> StorageBreakdown {
     banner(
         "Table I — Total storage for BF-TAGE with 10 tagged tables",
         "paper total: 51,100 bytes (tables + BST + RS + unfiltered history)",
@@ -414,8 +403,9 @@ pub fn table1_storage(scale: f64) -> StorageBreakdown {
         conv.storage().total_bytes()
     );
     println!(
-        "\nmeasured MPKI at these budgets ({} cache-served suite traces, scale {scale}):",
-        TABLE1_TRACES.len()
+        "\nmeasured MPKI at these budgets ({} cache-served suite traces, scale {}):",
+        TABLE1_TRACES.len(),
+        harness.scale
     );
     println!(
         "{}{}{}",
@@ -423,10 +413,9 @@ pub fn table1_storage(scale: f64) -> StorageBreakdown {
         cell("BF-TAGE-10", 12),
         cell("TAGE-10", 12)
     );
-    let cache = TraceCache::from_env();
     for name in TABLE1_TRACES {
         let spec = suite::find(name).expect("Table I trace in suite");
-        let (trace, _) = cache.fetch(&spec, scaled_len(&spec, scale));
+        let (trace, _) = harness.cache.fetch(&spec, scaled_len(&spec, harness.scale));
         let mut bf = registry
             .build("bf-tage", &bfbp_sim::registry::Params::new())
             .expect("bf-tage is registered");
@@ -456,7 +445,7 @@ pub type BudgetFrontier = Vec<(String, u64, f64)>;
 /// tables + BST + RS + history), 64 KB is the paper's headline budget.
 /// Returns `(budget_bits, frontier (params, total_bits, mean MPKI))`
 /// per budget.
-pub fn budget_frontier(scale: f64) -> Vec<(u64, BudgetFrontier)> {
+pub fn budget_frontier(harness: &Harness) -> Vec<(u64, BudgetFrontier)> {
     banner(
         "Budget sweep — BF-TAGE design space at fixed storage budgets",
         "successive-halving search over bf-isl-tage:tables=4..10,sc=true|false;\n\
@@ -472,8 +461,9 @@ pub fn budget_frontier(scale: f64) -> Vec<(u64, BudgetFrontier)> {
         let options = TuneOptions {
             eta: 2,
             rungs: 2,
-            scale,
-            sweep: SweepOptions::from_env(),
+            scale: harness.scale,
+            sweep: harness.sweep.clone(),
+            cache: harness.cache.clone(),
             ..TuneOptions::default()
         };
         match tune(&registry, &space, budget_bits, &traces, &options) {
@@ -524,7 +514,7 @@ pub fn budget_frontier(scale: f64) -> Vec<(u64, BudgetFrontier)> {
 /// [`BfTage::with_classifier`] — a per-trace artifact, not a registry
 /// configuration — so this experiment constructs its predictors
 /// directly.
-pub fn profile_assist(scale: f64) -> Vec<(String, f64, f64)> {
+pub fn profile_assist(harness: &Harness) -> Vec<(String, f64, f64)> {
     banner(
         "§VI-D — Static Profile-Assisted Classification",
         "paper: profile assistance restores SERV3 (2.62 -> 2.44) and helps FP1/MM5",
@@ -538,7 +528,7 @@ pub fn profile_assist(scale: f64) -> Vec<(String, f64, f64)> {
     );
     for name in ["SERV3", "FP1", "MM5"] {
         let spec = suite::find(name).expect("trace in suite");
-        let (trace, _) = TraceCache::from_env().fetch(&spec, scaled_len(&spec, scale));
+        let (trace, _) = harness.cache.fetch(&spec, scaled_len(&spec, harness.scale));
 
         let mut dynamic = bf_isl_tage(10);
         let r_dyn = simulate(&mut dynamic, &trace);
@@ -562,29 +552,12 @@ pub fn profile_assist(scale: f64) -> Vec<(String, f64, f64)> {
     out
 }
 
-/// Convenience: the Figure 8 predictor set run over the suite, returned
-/// as per-trace results (used by the comparison example and tests).
-pub fn headline_results(scale: f64) -> Vec<(String, Vec<SimResult>)> {
-    let registry = bfbp::default_registry();
-    let runner = SuiteRunner::generate(scale);
-    let specs = [
-        PredictorSpec::new("oh-snap"),
-        PredictorSpec::new("isl-tage")
-            .with("sc", false)
-            .labeled("tage-15"),
-        PredictorSpec::new("bf-neural"),
-    ];
-    let report = sweep(&registry, &specs, &runner, &SweepOptions::default())
-        .expect("headline specs are registered");
-    report.all_results()
-}
-
 /// Design-choice ablations beyond the paper's Figure 9: each row toggles
 /// one implementation decision of the final BF-Neural design (positional
 /// history, folded-history indexing, the loop predictor, the
 /// probabilistic BST) and reports the mean MPKI delta. Returns
 /// `(label, mpki)` pairs, baseline first.
-pub fn design_ablations(scale: f64) -> Vec<(String, f64)> {
+pub fn design_ablations(harness: &Harness) -> Vec<(String, f64)> {
     banner(
         "Design ablations — BF-Neural implementation choices",
         "each row disables/replaces one mechanism of the 64 KB design",
@@ -620,7 +593,7 @@ pub fn design_ablations(scale: f64) -> Vec<(String, f64)> {
         .iter()
         .map(|(label, spec)| spec.clone().labeled(label))
         .collect();
-    let report = run_sweep(&specs, scale, "design-ablations");
+    let report = run_sweep(&specs, harness, "design-ablations");
     let mut out = Vec::new();
     let mut baseline = f64::NAN;
     for (label, _) in &variants {
@@ -760,18 +733,26 @@ pub fn relearning_perturbation() -> (f64, f64) {
 mod tests {
     use super::*;
 
-    const SMOKE: f64 = 0.02;
+    /// A smoke-scale harness that writes its results documents to a
+    /// temporary directory, not into the source tree.
+    fn smoke() -> Harness {
+        Harness {
+            results_dir: std::env::temp_dir()
+                .join(format!("bfbp-experiments-{}", std::process::id())),
+            ..Harness::from_lookup(0.02, |_| None)
+        }
+    }
 
     #[test]
     fn fig02_reports_all_traces() {
-        let v = fig02_bias(SMOKE);
+        let v = fig02_bias(&smoke());
         assert_eq!(v.len(), 40);
         assert!(v.iter().all(|p| (0.0..=100.0).contains(p)));
     }
 
     #[test]
     fn table1_close_to_paper_budget() {
-        let s = table1_storage(SMOKE);
+        let s = table1_storage(&smoke());
         let bytes = s.total_bytes();
         // Paper: 51,100 bytes; ours includes the full 2048-deep raw
         // history, so allow a band.
@@ -783,7 +764,7 @@ mod tests {
 
     #[test]
     fn budget_frontier_respects_budgets() {
-        let frontiers = budget_frontier(SMOKE);
+        let frontiers = budget_frontier(&smoke());
         assert_eq!(frontiers.len(), 3);
         for (budget_bits, frontier) in &frontiers {
             // Each of the probed budgets (56/60/64 KB) admits at least
@@ -802,15 +783,18 @@ mod tests {
 
     #[test]
     fn profile_assist_runs() {
-        let v = profile_assist(SMOKE);
+        let v = profile_assist(&smoke());
         assert_eq!(v.len(), 3);
         assert!(v.iter().all(|(_, d, p)| *d > 0.0 && *p > 0.0));
     }
 
     #[test]
     fn design_ablations_cover_all_variants() {
-        let v = design_ablations(SMOKE);
+        let harness = smoke();
+        let v = design_ablations(&harness);
         assert_eq!(v.len(), 7);
         assert!(v.iter().all(|(_, m)| *m > 0.0));
+        assert!(harness.results_dir.join("design-ablations.json").exists());
+        let _ = std::fs::remove_dir_all(&harness.results_dir);
     }
 }

@@ -54,12 +54,6 @@ pub fn print_mpki_table(series_names: &[&str], series: &[Vec<SimResult>]) {
     println!();
 }
 
-/// The suite scale to use: `BFBP_TRACE_SCALE` env var, defaulting to
-/// `default`.
-pub fn scale(default: f64) -> f64 {
-    bfbp_sim::runner::env_scale(default)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

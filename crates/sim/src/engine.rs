@@ -277,58 +277,6 @@ impl SweepOptions {
         self.postmortem_dir = Some(dir.into());
         self
     }
-
-    /// Overlays environment-driven knobs on the defaults:
-    /// `BFBP_SWEEP_RETRIES` (extra attempts after the first),
-    /// `BFBP_SWEEP_BACKOFF_MS`, `BFBP_SWEEP_TIMEOUT_MS`,
-    /// `BFBP_SWEEP_METRICS` (any value except `0`/empty enables
-    /// metrics/H2P collection), `BFBP_SWEEP_EVENTS` (event-journal
-    /// path), `BFBP_SWEEP_CKPT_EVERY` / `BFBP_SWEEP_CKPT_DIR`
-    /// (mid-job checkpoint cadence and directory), and
-    /// `BFBP_SWEEP_FLIGHT` / `BFBP_SWEEP_FLIGHT_DIR` (flight-recorder
-    /// capacity and postmortem directory). Unset or malformed
-    /// variables leave the defaults untouched.
-    pub fn from_env() -> Self {
-        Self::from_env_with(|name| std::env::var(name).ok())
-    }
-
-    /// [`SweepOptions::from_env`] with an injectable lookup, so tests can
-    /// pin the environment instead of mutating the process-global one.
-    pub fn from_env_with<F>(lookup: F) -> Self
-    where
-        F: Fn(&str) -> Option<String>,
-    {
-        let mut options = Self::new();
-        let num = |name: &str| lookup(name).and_then(|v| v.parse::<u64>().ok());
-        if let Some(retries) = num("BFBP_SWEEP_RETRIES") {
-            options.retry.max_attempts = (retries as u32).saturating_add(1);
-        }
-        if let Some(ms) = num("BFBP_SWEEP_BACKOFF_MS") {
-            options.retry.backoff = Duration::from_millis(ms);
-        }
-        if let Some(ms) = num("BFBP_SWEEP_TIMEOUT_MS").filter(|ms| *ms > 0) {
-            options.timeout = Some(Duration::from_millis(ms));
-        }
-        if let Some(v) = lookup("BFBP_SWEEP_METRICS") {
-            options.metrics = !v.is_empty() && v != "0";
-        }
-        if let Some(path) = lookup("BFBP_SWEEP_EVENTS").filter(|p| !p.is_empty()) {
-            options.events = Some(PathBuf::from(path));
-        }
-        if let Some(every) = num("BFBP_SWEEP_CKPT_EVERY") {
-            options.checkpoint_every = every;
-        }
-        if let Some(dir) = lookup("BFBP_SWEEP_CKPT_DIR").filter(|p| !p.is_empty()) {
-            options.checkpoint_dir = Some(PathBuf::from(dir));
-        }
-        if let Some(capacity) = num("BFBP_SWEEP_FLIGHT") {
-            options.flight_recorder = capacity as usize;
-        }
-        if let Some(dir) = lookup("BFBP_SWEEP_FLIGHT_DIR").filter(|p| !p.is_empty()) {
-            options.postmortem_dir = Some(PathBuf::from(dir));
-        }
-        options
-    }
 }
 
 /// Why a sweep could not run at all (individual job failures never
@@ -830,22 +778,13 @@ impl SweepReport {
         self.render_json(true)
     }
 
-    /// Writes [`SweepReport::to_json`] to `<results-dir>/<run>.json`,
-    /// creating the directory. The directory is `$BFBP_RESULTS_DIR` when
-    /// set, else `target/results`. Returns the written path.
-    pub fn write_json(&self, run: &str) -> io::Result<PathBuf> {
-        let dir = Self::results_dir()?;
+    /// Writes [`SweepReport::to_json`] to `<dir>/<run>.json`, creating
+    /// the directory. Returns the written path.
+    pub fn write_json(&self, dir: &Path, run: &str) -> io::Result<PathBuf> {
+        std::fs::create_dir_all(dir)?;
         let path = dir.join(format!("{run}.json"));
         std::fs::write(&path, self.to_json())?;
         Ok(path)
-    }
-
-    fn results_dir() -> io::Result<PathBuf> {
-        let dir = std::env::var("BFBP_RESULTS_DIR")
-            .map(PathBuf::from)
-            .unwrap_or_else(|_| PathBuf::from("target").join("results"));
-        std::fs::create_dir_all(&dir)?;
-        Ok(dir)
     }
 
     /// The `bfbp-metrics/1` document: one entry per job carrying the
@@ -885,14 +824,14 @@ impl SweepReport {
         Some(out)
     }
 
-    /// Writes [`SweepReport::metrics_json`] to
-    /// `<results-dir>/<run>.metrics.json`; returns `Ok(None)` without
-    /// writing when the sweep collected no metrics.
-    pub fn write_metrics_json(&self, run: &str) -> io::Result<Option<PathBuf>> {
+    /// Writes [`SweepReport::metrics_json`] to `<dir>/<run>.metrics.json`,
+    /// creating the directory; returns `Ok(None)` without writing when
+    /// the sweep collected no metrics.
+    pub fn write_metrics_json(&self, dir: &Path, run: &str) -> io::Result<Option<PathBuf>> {
         let Some(json) = self.metrics_json() else {
             return Ok(None);
         };
-        let dir = Self::results_dir()?;
+        std::fs::create_dir_all(dir)?;
         let path = dir.join(format!("{run}.metrics.json"));
         std::fs::write(&path, json)?;
         Ok(Some(path))
@@ -1983,30 +1922,6 @@ mod tests {
                 other => panic!("expected Failed, got {other:?}"),
             }
         }
-    }
-
-    #[test]
-    fn options_from_env_parse_hardening_knobs() {
-        let env = |retries: Option<&str>, backoff: Option<&str>, timeout: Option<&str>| {
-            let (r, b, t) = (
-                retries.map(str::to_owned),
-                backoff.map(str::to_owned),
-                timeout.map(str::to_owned),
-            );
-            SweepOptions::from_env_with(move |name| match name {
-                "BFBP_SWEEP_RETRIES" => r.clone(),
-                "BFBP_SWEEP_BACKOFF_MS" => b.clone(),
-                "BFBP_SWEEP_TIMEOUT_MS" => t.clone(),
-                _ => None,
-            })
-        };
-        assert_eq!(env(None, None, None), SweepOptions::default());
-        let hardened = env(Some("2"), Some("10"), Some("5000"));
-        assert_eq!(hardened.retry.max_attempts, 3);
-        assert_eq!(hardened.retry.backoff, Duration::from_millis(10));
-        assert_eq!(hardened.timeout, Some(Duration::from_secs(5)));
-        // Malformed values fall back to defaults.
-        assert_eq!(env(Some("many"), None, Some("0")), SweepOptions::default());
     }
 
     #[test]

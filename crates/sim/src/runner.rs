@@ -7,19 +7,19 @@
 //! `Arc` so the parallel [`engine`](crate::engine) can share them across
 //! worker threads without copying.
 //!
-//! [`SuiteRunner::generate`] additionally routes every trace through the
-//! machine-wide [`TraceCache`] (honouring `BFBP_TRACE_CACHE`), so across
-//! processes the synthetic generator runs at most once per
-//! `(spec, length)` pair. Each fetch is reported to the
-//! `BFBP_SWEEP_EVENTS` journal (when set) as a `trace_cache` event, which
-//! is how the test suite asserts that a warm cache performs *zero*
-//! generation work.
+//! [`SuiteRunner::from_specs_cached`] routes every trace through a
+//! [`TraceCache`], so across processes the synthetic generator runs at
+//! most once per `(spec, length)` pair, and reports each fetch to an
+//! events journal as a `trace_cache` event, which is how the test suite
+//! asserts that a warm cache performs *zero* generation work. The bench
+//! binaries build their runner this way from their settings
+//! (`bfbp_bench::cli::Harness::suite_runner`).
 
 use std::sync::Arc;
 
 use bfbp_trace::cache::TraceCache;
 use bfbp_trace::record::Trace;
-use bfbp_trace::synth::suite::{self, TraceSpec};
+use bfbp_trace::synth::suite::TraceSpec;
 
 use crate::obs::{Event, EventJournal};
 use crate::predictor::ConditionalPredictor;
@@ -34,25 +34,6 @@ pub struct SuiteRunner {
 }
 
 impl SuiteRunner {
-    /// Materializes the full 40-trace suite, scaling every trace's
-    /// default length by `scale` (e.g. `0.1` for a fast smoke run). A
-    /// minimum of 1000 records per trace is enforced. Traces are served
-    /// from the environment-configured [`TraceCache`] when possible, and
-    /// cache activity is journaled to the `BFBP_SWEEP_EVENTS` path when
-    /// that variable is set.
-    pub fn generate(scale: f64) -> Self {
-        let events = std::env::var("BFBP_SWEEP_EVENTS")
-            .ok()
-            .filter(|p| !p.is_empty())
-            .and_then(|path| EventJournal::open(path).ok());
-        Self::from_specs_cached(
-            suite::suite(),
-            scale,
-            &TraceCache::from_env(),
-            events.as_ref(),
-        )
-    }
-
     /// Generates traces for an explicit set of specs, always running the
     /// synthetic generator (no cache I/O). Prefer
     /// [`SuiteRunner::from_specs_cached`] for repeated runs.
@@ -60,11 +41,13 @@ impl SuiteRunner {
         Self::from_specs_cached(specs, scale, &TraceCache::disabled(), None)
     }
 
-    /// Materializes traces for `specs`, serving each from `cache` when a
-    /// valid entry exists and generating (then storing) otherwise. Every
-    /// fetch emits a `trace_cache` event to `events` recording the trace
-    /// name, record count, and [`CacheStatus`](bfbp_trace::CacheStatus)
-    /// keyword, so journals make cache behaviour auditable.
+    /// Materializes traces for `specs`, scaling every trace's default
+    /// length by `scale` (at least 1000 records; see [`scaled_len`]) and
+    /// serving each from `cache` when a valid entry exists, generating
+    /// (then storing) otherwise. Every fetch emits a `trace_cache` event
+    /// to `events` recording the trace name, record count, and
+    /// [`CacheStatus`](bfbp_trace::CacheStatus) keyword, so journals make
+    /// cache behaviour auditable.
     pub fn from_specs_cached(
         specs: Vec<TraceSpec>,
         scale: f64,
@@ -139,30 +122,10 @@ impl SuiteRunner {
 
 /// The record count a spec materializes at scale `scale`: the default
 /// length scaled, floored at 1000 records. This is the shared sizing rule
-/// for the runner, streamed sweep inputs, and the trace cache — all three
-/// must agree or cache keys diverge from sweep contents.
+/// for the runner, the tuner, and the experiments that fetch single
+/// traces — all must agree or cache keys diverge from sweep contents.
 pub fn scaled_len(spec: &TraceSpec, scale: f64) -> usize {
     ((spec.default_len() as f64 * scale) as usize).max(1000)
-}
-
-/// Reads the `BFBP_TRACE_SCALE` environment variable as a scale factor
-/// for suite generation; defaults to `default` when unset or malformed.
-/// Figure harnesses use this so a quick smoke run (`BFBP_TRACE_SCALE=0.05`)
-/// needs no code change.
-pub fn env_scale(default: f64) -> f64 {
-    env_scale_with(default, |name| std::env::var(name).ok())
-}
-
-/// [`env_scale`] with an injectable variable lookup, so tests can pin the
-/// environment instead of mutating the real (process-global, racy) one.
-pub fn env_scale_with<F>(default: f64, lookup: F) -> f64
-where
-    F: Fn(&str) -> Option<String>,
-{
-    lookup("BFBP_TRACE_SCALE")
-        .and_then(|v| v.parse::<f64>().ok())
-        .filter(|v| *v > 0.0)
-        .unwrap_or(default)
 }
 
 #[cfg(test)]
@@ -170,10 +133,11 @@ mod tests {
     use super::*;
     use crate::predictor::StaticPredictor;
     use bfbp_trace::cache::CacheStatus;
+    use bfbp_trace::synth::suite;
 
     #[test]
     fn generates_all_forty_traces() {
-        let runner = SuiteRunner::generate(0.01);
+        let runner = SuiteRunner::from_specs(suite::suite(), 0.01);
         assert_eq!(runner.traces().len(), 40);
         assert_eq!(runner.specs().len(), 40);
         // Scale 0.01 of 300k = 3000 records for long traces.
@@ -237,23 +201,5 @@ mod tests {
         let mut p = StaticPredictor::always_taken();
         assert!(runner.run_one("INT3", &mut p).is_some());
         assert!(runner.run_one("INT4", &mut p).is_none());
-    }
-
-    #[test]
-    fn env_scale_with_injected_lookup() {
-        // Unset → default.
-        assert_eq!(env_scale_with(0.5, |_| None), 0.5);
-        // Set → parsed.
-        assert_eq!(
-            env_scale_with(0.5, |name| {
-                assert_eq!(name, "BFBP_TRACE_SCALE");
-                Some("0.25".to_owned())
-            }),
-            0.25
-        );
-        // Malformed or non-positive → default.
-        assert_eq!(env_scale_with(0.5, |_| Some("zoom".to_owned())), 0.5);
-        assert_eq!(env_scale_with(0.5, |_| Some("-1".to_owned())), 0.5);
-        assert_eq!(env_scale_with(0.5, |_| Some("0".to_owned())), 0.5);
     }
 }

@@ -17,7 +17,8 @@
 //!    length by `eta^(rungs-1-rung)`), keeping the best `1/eta` of the
 //!    field per rung. Every rung is lowered as one batch of jobs onto
 //!    [`engine::sweep_inputs`], so retries, timeouts, checkpointing,
-//!    metrics, and the `bfbp-events/1` journal all apply unchanged.
+//!    and the `bfbp-events/1` journal all apply unchanged. Traces come
+//!    from [`TuneOptions::cache`].
 //! 4. Progress is journaled crash-consistently (`bfbp-tune/1`, the same
 //!    atomic tmp+rename + FNV-1a trailer discipline as `bfbp-ckpt/1`),
 //!    so a killed run resumed with [`TuneOptions::resume`] re-enters
@@ -479,12 +480,15 @@ pub struct TuneOptions {
     /// run's (space, budget, schedule, suite) fingerprint exactly.
     pub resume: bool,
     /// Engine options every rung's sweep inherits (threads, retries,
-    /// timeouts, events journal, metrics, ...). Per-rung job journals
-    /// are derived from [`TuneOptions::state`] — the `journal` /
-    /// `resume_from` fields here are overridden per rung, so a killed
-    /// run does not even re-simulate completed jobs of the rung it
-    /// died in.
+    /// timeouts, events journal, ...). Per-rung job journals are derived
+    /// from [`TuneOptions::state`] — the `journal` / `resume_from`
+    /// fields here are overridden per rung, so a killed run does not
+    /// even re-simulate completed jobs of the rung it died in — and
+    /// `metrics` is off per rung: the tuner writes no metrics document.
     pub sweep: SweepOptions,
+    /// Where every rung's truncated traces are served from; the default
+    /// generates them without disk I/O.
+    pub cache: TraceCache,
 }
 
 impl Default for TuneOptions {
@@ -498,6 +502,7 @@ impl Default for TuneOptions {
             state: None,
             resume: false,
             sweep: SweepOptions::default(),
+            cache: TraceCache::disabled(),
         }
     }
 }
@@ -877,7 +882,6 @@ pub fn tune(
         }
     }
 
-    let cache = TraceCache::from_env();
     let mut outcomes: Vec<RungOutcome> = Vec::new();
     let mut survivors: Vec<usize> = candidates.iter().map(|c| c.index).collect();
     let by_index: BTreeMap<usize, &Candidate> = candidates.iter().map(|c| (c.index, c)).collect();
@@ -915,7 +919,7 @@ pub fn tune(
                 .zip(&base_lens)
                 .map(|(spec, &full)| {
                     let records = rung_records(full, divisor);
-                    let (trace, _) = cache.fetch(spec, records);
+                    let (trace, _) = options.cache.fetch(spec, records);
                     TraceInput::ready(trace)
                 })
                 .collect();
@@ -924,6 +928,7 @@ pub fn tune(
             let mut rung_options = options.sweep.clone();
             rung_options.journal = None;
             rung_options.resume_from = None;
+            rung_options.metrics = false;
             if let Some(state) = &options.state {
                 // Per-rung job journal beside the tuner state: a kill
                 // mid-rung resumes the rung's completed jobs too. The

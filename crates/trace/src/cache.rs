@@ -16,10 +16,11 @@
 //! interrupted runs — the worst case is wasted work, never a wrong
 //! trace.
 //!
-//! The `BFBP_TRACE_CACHE` environment variable controls the cache
-//! machine-wide: unset or `1`/`on` enables the default directory,
-//! `0`/`off` disables caching, and any other value is used as the cache
-//! directory path.
+//! Callers choose the cache: [`TraceCache::default_location`],
+//! [`TraceCache::at`] a directory, or [`TraceCache::disabled`]. The
+//! bench binaries map the `BFBP_TRACE_CACHE` variable and the
+//! `--trace-cache`/`--no-trace-cache` flags onto these three
+//! (`bfbp_bench::cli`).
 
 use std::fs;
 use std::io::BufWriter;
@@ -91,26 +92,6 @@ impl TraceCache {
     /// therefore shares a single cache.
     pub fn default_location() -> Self {
         Self::at(default_dir())
-    }
-
-    /// Builds the cache from the `BFBP_TRACE_CACHE` environment
-    /// variable; see the module docs for the accepted values.
-    pub fn from_env() -> Self {
-        Self::from_env_with(|name| std::env::var(name).ok())
-    }
-
-    /// [`TraceCache::from_env`] with an injectable variable lookup, so
-    /// tests can pin the environment instead of mutating the real
-    /// (process-global, racy) one.
-    pub fn from_env_with<F>(lookup: F) -> Self
-    where
-        F: Fn(&str) -> Option<String>,
-    {
-        match lookup("BFBP_TRACE_CACHE").as_deref() {
-            None | Some("") | Some("1") | Some("on") => Self::default_location(),
-            Some("0") | Some("off") => Self::disabled(),
-            Some(dir) => Self::at(dir),
-        }
     }
 
     /// Whether fetches may be served from (and stored to) disk.
@@ -294,20 +275,6 @@ mod tests {
         let (trace, status) = cache.fetch(&spec, 1000);
         assert_eq!(status, CacheStatus::Bypassed);
         assert_eq!(trace, spec.generate_len(1000));
-    }
-
-    #[test]
-    fn env_knob_selects_mode() {
-        assert!(!TraceCache::from_env_with(|_| Some("0".into())).is_enabled());
-        assert!(!TraceCache::from_env_with(|_| Some("off".into())).is_enabled());
-        assert!(TraceCache::from_env_with(|_| None).is_enabled());
-        assert!(TraceCache::from_env_with(|_| Some("1".into())).is_enabled());
-        assert!(TraceCache::from_env_with(|_| Some("on".into())).is_enabled());
-        let custom = TraceCache::from_env_with(|name| {
-            assert_eq!(name, "BFBP_TRACE_CACHE");
-            Some("/tmp/bfbp-custom-cache".into())
-        });
-        assert_eq!(custom.dir(), Some(Path::new("/tmp/bfbp-custom-cache")));
     }
 
     #[test]

@@ -10,11 +10,18 @@
 use bfbp::sim::engine::{sweep, SweepOptions, SweepReport};
 use bfbp::sim::registry::PredictorSpec;
 use bfbp::sim::runner::SuiteRunner;
+use bfbp_bench::cli::Harness;
 use bfbp_bench::experiments;
 
 /// A scale that keeps the whole file under ~2 minutes on one core while
 /// still letting predictors warm up.
 const SCALE: f64 = 0.2;
+
+/// The settings a figure binary runs with when no variable is set, at
+/// `scale` (results land in the ignored `target/results`).
+fn harness(scale: f64) -> Harness {
+    Harness::from_lookup(scale, |_| None)
+}
 
 fn run(runner: &SuiteRunner, specs: &[PredictorSpec]) -> SweepReport {
     let registry = bfbp::default_registry();
@@ -25,7 +32,7 @@ fn run(runner: &SuiteRunner, specs: &[PredictorSpec]) -> SweepReport {
 fn bf_neural_beats_the_neural_baselines() {
     // Figure 8's neural story: BF-Neural < OH-SNAP; both < nothing. The
     // conventional piecewise-linear (Figure 9 bar 1) is worst.
-    let runner = SuiteRunner::generate(SCALE);
+    let runner = harness(SCALE).suite_runner();
     let report = run(
         &runner,
         &[
@@ -53,7 +60,7 @@ fn bf_neural_beats_the_neural_baselines() {
 fn bf_neural_is_comparable_to_tage() {
     // Figure 8: "provides accuracies comparable to that of TAGE"
     // (within ±15% at reduced scale).
-    let runner = SuiteRunner::generate(SCALE);
+    let runner = harness(SCALE).suite_runner();
     let report = run(
         &runner,
         &[
@@ -75,7 +82,7 @@ fn bf_neural_is_comparable_to_tage() {
 fn ablation_bias_filtering_helps() {
     // Figure 9's first two steps: BST gating + fhist improves on the
     // conventional perceptron, and bias-free history improves again.
-    let runner = SuiteRunner::generate(SCALE);
+    let runner = harness(SCALE).suite_runner();
     let report = run(
         &runner,
         &[
@@ -157,7 +164,7 @@ fn fifteen_tables_beat_ten_on_long_history_traces() {
 fn figure12_hits_shift_toward_shorter_tables() {
     // Figure 12: BF-TAGE's provider distribution sits at shorter tables
     // than conventional TAGE's on the long-history traces.
-    let shifts = experiments::fig12_hits(0.1);
+    let shifts = experiments::fig12_hits(&harness(0.1));
     let shifted = shifts
         .iter()
         .filter(|(_, tage15, bf10)| bf10 < tage15)
@@ -172,7 +179,7 @@ fn figure12_hits_shift_toward_shorter_tables() {
 fn bf_tage_matches_conventional_at_four_tables() {
     // Figure 10's left edge: at small table counts the bias-free history
     // must at least match conventional TAGE at the same storage.
-    let curve = experiments::fig10_tables(0.1);
+    let curve = experiments::fig10_tables(&harness(0.1));
     let (n, conv, bf) = curve[0];
     assert_eq!(n, 4);
     assert!(

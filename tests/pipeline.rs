@@ -54,7 +54,7 @@ fn simulation_is_deterministic_across_runs() {
 #[test]
 fn every_suite_trace_runs_through_every_headline_predictor() {
     let registry = bfbp::default_registry();
-    let runner = SuiteRunner::generate(0.01);
+    let runner = SuiteRunner::from_specs(suite::suite(), 0.01);
     let specs = [
         PredictorSpec::new("piecewise"),
         PredictorSpec::new("bf-neural"),

@@ -83,7 +83,7 @@ fn streamed_and_materialized_paths_agree_for_every_predictor() {
 /// must not depend on the worker count: one worker and two run the
 /// same jobs on the same pool.
 #[test]
-fn streamed_sweeps_are_byte_identical_across_input_kind_and_threads() {
+fn sweeps_are_byte_identical_across_threads() {
     let registry = bfbp::default_registry();
     let specs = vec![
         PredictorSpec::new("gshare").labeled("g"),
