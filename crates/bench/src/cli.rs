@@ -509,12 +509,17 @@ mod tests {
 
         // (BFBP_<var>, its value, flags over it, the setting from the
         // variable, the setting after the flags)
+        let default_cache = setting(&unset, "TRACE_CACHE");
+        let cached = default_cache.as_str();
         let rows = [
             ("TRACE_SCALE", "0.25", "", "0.25", "0.25"),
             ("RESULTS_DIR", "out", "", "out", "out"),
             ("TRACE_CACHE", "c", "--no-trace-cache", "c", "-"),
+            ("TRACE_CACHE", "0", "--trace-cache", "-", cached),
+            ("TRACE_CACHE", "off", "--trace-cache", "-", cached),
             ("SWEEP_RETRIES", "2", "--retries 0", "3", "1"),
             ("SWEEP_BACKOFF_MS", "10", "--backoff 25", "10", "25"),
+            ("SWEEP_TIMEOUT_MS", "50", "--timeout 250", "50", "250"),
             ("SWEEP_TIMEOUT_MS", "50", "--timeout 0", "50", "-"),
             ("SWEEP_METRICS", "0", "--metrics", "false", "true"),
             ("SWEEP_METRICS", "yes", "", "true", "true"),
@@ -537,16 +542,15 @@ mod tests {
                 "BFBP_{var} under {flags}"
             );
         }
-        let off = only("TRACE_CACHE", "off");
-        assert!(!off.cache.is_enabled());
-        let (common, _) = consume_all(&["--trace-cache"]).unwrap();
-        assert_eq!(off.with_flags(&common).cache, unset.cache);
 
-        // Malformed numbers and empty paths leave the defaults.
+        // Malformed numbers, empty paths and the cache's "on" spellings
+        // leave the defaults.
         let ignored = [
             ("TRACE_SCALE", "0"),
             ("TRACE_SCALE", "-1"),
             ("TRACE_SCALE", "zoom"),
+            ("TRACE_CACHE", ""),
+            ("TRACE_CACHE", "1"),
             ("TRACE_CACHE", "on"),
             ("SWEEP_RETRIES", "many"),
             ("SWEEP_BACKOFF_MS", "-1"),
