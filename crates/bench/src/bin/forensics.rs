@@ -28,7 +28,8 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 
 use bfbp_bench::cli::CommonArgs;
-use bfbp_sim::forensics::{chrome_trace, parse_json, read_events, JsonValue};
+use bfbp_sim::forensics::{chrome_trace, read_events};
+use bfbp_sim::json::{parse_json, JsonValue};
 
 fn main() -> ExitCode {
     let mut common = CommonArgs::default();

@@ -14,7 +14,7 @@
 
 use std::path::{Path, PathBuf};
 
-use bfbp_sim::forensics::{parse_json, JsonValue};
+use bfbp_sim::json::{parse_json, JsonValue};
 
 /// Fingerprint fields that must match for bounds to gate.
 const FINGERPRINT: [&str; 4] = ["nproc", "cpu", "rustc", "seconds"];

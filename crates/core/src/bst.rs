@@ -34,23 +34,6 @@ pub enum BranchStatus {
     NonBiased,
 }
 
-impl BranchStatus {
-    /// Whether this status classifies the branch as completely biased
-    /// (or unknown).
-    pub fn is_biased_or_unknown(self) -> bool {
-        self != BranchStatus::NonBiased
-    }
-
-    /// The direction recorded for a biased status, if any.
-    pub fn bias_direction(self) -> Option<bool> {
-        match self {
-            BranchStatus::Taken => Some(true),
-            BranchStatus::NotTaken => Some(false),
-            _ => None,
-        }
-    }
-}
-
 /// The plain 2-bit-per-entry BST of the paper's feasibility study.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Bst {
@@ -488,16 +471,6 @@ mod tests {
         assert_eq!(bst.commit(0x80, false), BranchStatus::NotTaken);
         assert_eq!(bst.commit(0x80, false), BranchStatus::NotTaken);
         assert_eq!(bst.commit(0x80, true), BranchStatus::NonBiased);
-    }
-
-    #[test]
-    fn bias_direction_reporting() {
-        assert_eq!(BranchStatus::Taken.bias_direction(), Some(true));
-        assert_eq!(BranchStatus::NotTaken.bias_direction(), Some(false));
-        assert_eq!(BranchStatus::NonBiased.bias_direction(), None);
-        assert_eq!(BranchStatus::NotFound.bias_direction(), None);
-        assert!(BranchStatus::Taken.is_biased_or_unknown());
-        assert!(!BranchStatus::NonBiased.is_biased_or_unknown());
     }
 
     #[test]

@@ -41,13 +41,6 @@ impl SatCounter {
         }
     }
 
-    /// Creates a counter with an explicit initial value (clamped).
-    pub fn with_value(bits: u32, value: i32) -> Self {
-        let mut c = Self::new(bits);
-        c.value = value.clamp(c.min, c.max);
-        c
-    }
-
     /// Current value.
     pub fn value(&self) -> i32 {
         self.value
@@ -100,11 +93,6 @@ impl SatCounter {
     /// newly allocated or conflicted entry.
     pub fn is_weak(&self) -> bool {
         self.value == 0 || self.value == -1
-    }
-
-    /// Resets to the weak state nearest `taken`.
-    pub fn reset_weak(&mut self, taken: bool) {
-        self.value = if taken { 0 } else { -1 };
     }
 }
 
@@ -239,24 +227,6 @@ mod tests {
         c.train(false);
         assert_eq!(c.value(), -1);
         assert!(!c.is_taken());
-    }
-
-    #[test]
-    fn with_value_clamps() {
-        assert_eq!(SatCounter::with_value(3, 100).value(), 3);
-        assert_eq!(SatCounter::with_value(3, -100).value(), -4);
-        assert_eq!(SatCounter::with_value(3, 2).value(), 2);
-    }
-
-    #[test]
-    fn reset_weak_states() {
-        let mut c = SatCounter::new(3);
-        c.reset_weak(true);
-        assert_eq!(c.value(), 0);
-        assert!(c.is_weak() && c.is_taken());
-        c.reset_weak(false);
-        assert_eq!(c.value(), -1);
-        assert!(c.is_weak() && !c.is_taken());
     }
 
     #[test]

@@ -192,11 +192,6 @@ impl HistoryFold {
         self.comp
     }
 
-    /// Window length in original bits.
-    pub fn original_len(&self) -> usize {
-        self.olen
-    }
-
     /// Compressed length in bits.
     pub fn compressed_len(&self) -> usize {
         self.clen

@@ -291,11 +291,6 @@ impl<'a> StateReader<'a> {
         std::str::from_utf8(self.bytes()?).map_err(|_| CodecError::Malformed("invalid utf-8"))
     }
 
-    /// Reads a length-prefixed `i8` slice into a fresh vector.
-    pub fn i8_vec(&mut self) -> Result<Vec<i8>, CodecError> {
-        Ok(self.bytes()?.iter().map(|&b| b as i8).collect())
-    }
-
     /// Reads a length-prefixed `i8` slice into `out`, which must already
     /// have the expected length (catches parameter drift).
     pub fn i8_into(&mut self, out: &mut [i8]) -> Result<(), CodecError> {
@@ -628,7 +623,9 @@ mod tests {
         assert!(r.bool().unwrap());
         assert!(!r.bool().unwrap());
         assert_eq!(r.str().unwrap(), "bfbp");
-        assert_eq!(r.i8_vec().unwrap(), vec![-1, 0, 1, 127, -128]);
+        let mut i8s = [0i8; 5];
+        r.i8_into(&mut i8s).unwrap();
+        assert_eq!(i8s, [-1, 0, 1, 127, -128]);
         assert_eq!(r.u32_vec().unwrap(), vec![1, 2, 3]);
         assert_eq!(r.u64_vec().unwrap(), vec![u64::MAX]);
         r.finish().unwrap();

@@ -44,6 +44,8 @@
 //! [`SweepReport::results_json`] is **byte-identical** at every thread
 //! count and schedule; one worker is simply a pool of one. Timing lives
 //! in a separate JSON section that [`SweepReport::to_json`] appends.
+//! Both documents, and the metrics document, are built with
+//! [`crate::json`].
 //!
 //! ```
 //! use bfbp_sim::engine::{self, SweepOptions};
@@ -75,11 +77,15 @@ use bfbp_trace::record::{BranchRecord, Trace};
 use crate::ckpt::{self, JobCheckpoint, Restorable, SimCheckpoint, StateReader, StateWriter};
 use crate::fault::{Fault, FaultPlan};
 use crate::journal::{self, Journal, JournalError};
+use crate::json::{array, lines, Object};
 use crate::obs::{self, Event, EventJournal, FlightRecorder, H2pTable, JobObs, Progress};
 use crate::predictor::ConditionalPredictor;
 use crate::registry::{BuildError, Params, PredictorRegistry, PredictorSpec};
 use crate::runner::SuiteRunner;
 use crate::simulate::{mean_mpki, IntervalPoint, SimResult, Simulation, SimulationError};
+
+// Kept for perfbench, which imports these two from here.
+pub use crate::json::{json_f64, json_string};
 
 /// Schema identifier of the sweep result document.
 pub const SWEEP_SCHEMA: &str = "bfbp-sweep/2";
@@ -258,12 +264,6 @@ impl SweepOptions {
     /// Appends span/event lines to the `bfbp-events/1` journal at `path`.
     pub fn with_events(mut self, path: impl Into<PathBuf>) -> Self {
         self.events = Some(path.into());
-        self
-    }
-
-    /// Enables the live stderr progress line.
-    pub fn with_progress(mut self) -> Self {
-        self.progress = true;
         self
     }
 
@@ -505,12 +505,6 @@ impl SweepReport {
         &self.series
     }
 
-    /// Series metadata for the series with the given label, or `None`
-    /// if no series carries that label.
-    pub fn try_series(&self, label: &str) -> Option<&SeriesInfo> {
-        self.series.iter().find(|info| info.label == label)
-    }
-
     /// Trace names in suite order.
     pub fn trace_names(&self) -> &[String] {
         &self.trace_names
@@ -624,142 +618,98 @@ impl SweepReport {
         self.cpu().as_secs_f64() / wall
     }
 
+    /// One series of the results document. Its entry spans lines: the
+    /// identity members, then `mean_mpki`, then one result per line.
+    fn series_json(&self, s: usize) -> String {
+        let info = &self.series[s];
+        let jobs = self.series_jobs(s);
+        let results: Vec<SimResult> = jobs
+            .iter()
+            .filter_map(|j| j.record().map(|r| r.result.clone()))
+            .collect();
+        let mean = if results.is_empty() {
+            f64::NAN // renders as null: no successful job to average
+        } else {
+            mean_mpki(&results)
+        };
+        let head = Object::new()
+            .str("label", &info.label)
+            .str("predictor", &info.predictor)
+            .str("predictor_name", &info.predictor_name)
+            .member("storage_bytes", info.storage_bytes)
+            .member("params", info.params.to_json());
+        let rows = jobs.iter().zip(&self.trace_names).map(|(job, trace)| {
+            let row = Object::new()
+                .str("trace", trace)
+                .str("status", job.status.name());
+            match &job.status {
+                JobStatus::Ok(record) => {
+                    let r = &record.result;
+                    let intervals = record.intervals.iter().map(|iv| {
+                        array([
+                            iv.instructions.to_string(),
+                            iv.mispredictions.to_string(),
+                            json_f64(iv.mpki()),
+                        ])
+                    });
+                    row.member("conditional_branches", r.conditional_branches())
+                        .member("mispredictions", r.mispredictions())
+                        .member("instructions", r.instructions())
+                        .f64("mpki", r.mpki())
+                        .member("intervals", array(intervals))
+                }
+                JobStatus::Failed { error } => {
+                    row.member("attempts", job.attempts).str("error", error)
+                }
+                JobStatus::TimedOut | JobStatus::Skipped | JobStatus::Killed => row,
+            }
+        });
+        format!(
+            "{{{},\n     \"mean_mpki\": {},\n     \"results\": [\n{}     ]}}",
+            head.members(),
+            json_f64(mean),
+            lines(rows, "      ")
+        )
+    }
+
     fn render_json(&self, with_timing: bool) -> String {
-        let mut out = String::with_capacity(4096);
-        out.push_str("{\n  \"schema\": ");
-        out.push_str(&json_string(SWEEP_SCHEMA));
-        out.push_str(",\n  \"traces\": [");
-        for (i, name) in self.trace_names.iter().enumerate() {
-            if i > 0 {
-                out.push_str(", ");
-            }
-            out.push_str(&json_string(name));
-        }
-        out.push_str("],\n  \"series\": [\n");
-        for (s, info) in self.series.iter().enumerate() {
-            let rows = self.series_jobs(s);
-            out.push_str("    {\"label\": ");
-            out.push_str(&json_string(&info.label));
-            out.push_str(", \"predictor\": ");
-            out.push_str(&json_string(&info.predictor));
-            out.push_str(", \"predictor_name\": ");
-            out.push_str(&json_string(&info.predictor_name));
-            out.push_str(&format!(", \"storage_bytes\": {}", info.storage_bytes));
-            out.push_str(", \"params\": {");
-            for (i, (key, value)) in info.params.iter().enumerate() {
-                if i > 0 {
-                    out.push_str(", ");
-                }
-                out.push_str(&json_string(key));
-                out.push_str(": ");
-                out.push_str(&value.to_json());
-            }
-            out.push_str("},\n");
-            let results: Vec<SimResult> = rows
-                .iter()
-                .filter_map(|j| j.record().map(|r| r.result.clone()))
-                .collect();
-            let mean = if results.is_empty() {
-                f64::NAN // renders as null: no successful job to average
-            } else {
-                mean_mpki(&results)
-            };
-            out.push_str(&format!(
-                "     \"mean_mpki\": {},\n     \"results\": [\n",
-                json_f64(mean)
-            ));
-            for (i, job) in rows.iter().enumerate() {
-                out.push_str("      {\"trace\": ");
-                out.push_str(&json_string(&self.trace_names[i]));
-                out.push_str(", \"status\": ");
-                out.push_str(&json_string(job.status.name()));
-                match &job.status {
-                    JobStatus::Ok(record) => {
-                        let r = &record.result;
-                        out.push_str(&format!(
-                            ", \"conditional_branches\": {}, \"mispredictions\": {}, \"instructions\": {}, \"mpki\": {}, \"intervals\": [",
-                            r.conditional_branches(),
-                            r.mispredictions(),
-                            r.instructions(),
-                            json_f64(r.mpki()),
-                        ));
-                        for (k, iv) in record.intervals.iter().enumerate() {
-                            if k > 0 {
-                                out.push_str(", ");
-                            }
-                            out.push_str(&format!(
-                                "[{}, {}, {}]",
-                                iv.instructions,
-                                iv.mispredictions,
-                                json_f64(iv.mpki())
-                            ));
-                        }
-                        out.push(']');
-                    }
-                    JobStatus::Failed { error } => {
-                        out.push_str(&format!(", \"attempts\": {}, \"error\": ", job.attempts));
-                        out.push_str(&json_string(error));
-                    }
-                    JobStatus::TimedOut | JobStatus::Skipped | JobStatus::Killed => {}
-                }
-                out.push('}');
-                out.push_str(if i + 1 < rows.len() { ",\n" } else { "\n" });
-            }
-            out.push_str("     ]}");
-            out.push_str(if s + 1 < self.series.len() {
-                ",\n"
-            } else {
-                "\n"
-            });
-        }
-        out.push_str("  ],\n");
+        let series = (0..self.series.len()).map(|s| self.series_json(s));
         let summary = self.summary();
-        out.push_str(&format!(
-            "  \"summary\": {{\"jobs\": {}, \"ok\": {}, \"failed\": {}, \"timed_out\": {}, \"skipped\": {}, \"killed\": {}}}",
-            summary.jobs, summary.ok, summary.failed, summary.timed_out, summary.skipped,
-            summary.killed
-        ));
+        let summary = Object::new()
+            .member("jobs", summary.jobs)
+            .member("ok", summary.ok)
+            .member("failed", summary.failed)
+            .member("timed_out", summary.timed_out)
+            .member("skipped", summary.skipped)
+            .member("killed", summary.killed);
+        let mut doc = Object::lines("  ")
+            .str("schema", SWEEP_SCHEMA)
+            .member(
+                "traces",
+                array(self.trace_names.iter().map(|t| json_string(t))),
+            )
+            .member("series", format!("[\n{}  ]", lines(series, "    ")))
+            .member("summary", summary);
         if with_timing {
-            let t = self.trace_names.len();
-            out.push_str(&format!(",\n  \"threads\": {}", self.threads));
-            out.push_str(&format!(",\n  \"resumed_jobs\": {}", self.resumed));
-            out.push_str(&format!(
-                ",\n  \"timing\": {{\"wall_ms\": {}, \"cpu_ms\": {}, \"parallel_speedup\": {}, \"jobs_ms\": [",
-                json_f64(self.wall.as_secs_f64() * 1e3),
-                json_f64(self.cpu().as_secs_f64() * 1e3),
-                json_f64(self.speedup()),
-            ));
-            for s in 0..self.series.len() {
-                if s > 0 {
-                    out.push_str(", ");
-                }
-                out.push('[');
-                for (i, job) in self.jobs[s * t..(s + 1) * t].iter().enumerate() {
-                    if i > 0 {
-                        out.push_str(", ");
-                    }
-                    out.push_str(&json_f64(job.wall.as_secs_f64() * 1e3));
-                }
-                out.push(']');
-            }
-            out.push_str("], \"attempts\": [");
-            for s in 0..self.series.len() {
-                if s > 0 {
-                    out.push_str(", ");
-                }
-                out.push('[');
-                for (i, job) in self.jobs[s * t..(s + 1) * t].iter().enumerate() {
-                    if i > 0 {
-                        out.push_str(", ");
-                    }
-                    out.push_str(&job.attempts.to_string());
-                }
-                out.push(']');
-            }
-            out.push_str("]}");
+            // One array per series, one cell per trace.
+            let per_job = |cell: fn(&JobOutcome) -> String| {
+                array((0..self.series.len()).map(|s| array(self.series_jobs(s).iter().map(cell))))
+            };
+            let timing = Object::new()
+                .f64("wall_ms", self.wall.as_secs_f64() * 1e3)
+                .f64("cpu_ms", self.cpu().as_secs_f64() * 1e3)
+                .f64("parallel_speedup", self.speedup())
+                .member(
+                    "jobs_ms",
+                    per_job(|job| json_f64(job.wall.as_secs_f64() * 1e3)),
+                )
+                .member("attempts", per_job(|job| job.attempts.to_string()));
+            doc = doc
+                .member("threads", self.threads)
+                .member("resumed_jobs", self.resumed)
+                .member("timing", timing);
         }
-        out.push_str("\n}\n");
-        out
+        format!("{doc}\n")
     }
 
     /// The deterministic results document: independent of thread count
@@ -795,33 +745,16 @@ impl SweepReport {
         if self.obs.iter().all(Option::is_none) {
             return None;
         }
-        let t = self.trace_names.len();
-        let mut out = String::with_capacity(4096);
-        out.push_str("{\n  \"schema\": ");
-        out.push_str(&json_string(obs::METRICS_SCHEMA));
-        out.push_str(&format!(
-            ",\n  \"h2p_top\": {},\n  \"jobs\": [\n",
-            obs::H2P_TOP_N
-        ));
-        for (s, info) in self.series.iter().enumerate() {
-            for (i, name) in self.trace_names.iter().enumerate() {
-                let job = s * t + i;
-                out.push_str("    ");
-                out.push_str(&obs::job_obs_json(
-                    &info.label,
-                    name,
-                    self.obs[job].as_ref(),
-                    obs::H2P_TOP_N,
-                ));
-                out.push_str(if job + 1 < self.obs.len() {
-                    ",\n"
-                } else {
-                    "\n"
-                });
-            }
-        }
-        out.push_str("  ]\n}\n");
-        Some(out)
+        let jobs = self.series.iter().enumerate().flat_map(|(s, info)| {
+            self.trace_names.iter().enumerate().map(move |(t, name)| {
+                obs::job_obs_json(&info.label, name, self.job_obs(s, t), obs::H2P_TOP_N)
+            })
+        });
+        let doc = Object::lines("  ")
+            .str("schema", obs::METRICS_SCHEMA)
+            .member("h2p_top", obs::H2P_TOP_N)
+            .member("jobs", format!("[\n{}  ]", lines(jobs, "    ")));
+        Some(format!("{doc}\n"))
     }
 
     /// Writes [`SweepReport::metrics_json`] to `<dir>/<run>.metrics.json`,
@@ -1208,13 +1141,11 @@ impl SweepContext<'_> {
             }
             let (result, intervals) = sim.run_trace(trace).map_err(|e| match e {
                 SimulationError::Aborted => AttemptError::Cancelled,
-                SimulationError::Source(err) => {
-                    AttemptError::Failed(format!("trace stream failed: {err}"))
-                }
                 SimulationError::Killed(records) => AttemptError::Killed(records),
-                SimulationError::Resume(msg) => {
-                    AttemptError::Failed(format!("checkpoint resume failed: {msg}"))
-                }
+                // Neither `Source` nor `Resume` can occur here: a replayed
+                // trace never fails to decode, and `restore_ckpt` has
+                // already rejected a snapshot past the trace's end.
+                other => AttemptError::Failed(other.to_string()),
             })?;
             let mut obs = obs.into_inner();
             // A finished job's mid-job snapshot is spent; left behind it
@@ -1691,40 +1622,6 @@ pub fn sweep_inputs(
     Ok(report)
 }
 
-/// Renders a JSON string literal (quoted, escaped).
-pub fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
-/// Renders an `f64` as a JSON number (`null` for non-finite values).
-/// Rust's shortest-roundtrip `Display` never uses exponent notation, so
-/// the output is always a valid JSON literal and deterministic.
-pub fn json_f64(x: f64) -> String {
-    if x.is_finite() {
-        let mut s = x.to_string();
-        if !s.contains('.') {
-            s.push_str(".0");
-        }
-        s
-    } else {
-        "null".to_owned()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1765,8 +1662,6 @@ mod tests {
             );
         }
         assert!(report.try_results("nope").is_none());
-        assert!(report.try_series("T").is_some());
-        assert!(report.try_series("nope").is_none());
         let summary = report.summary();
         assert_eq!((summary.jobs, summary.ok), (4, 4));
     }
@@ -1922,13 +1817,5 @@ mod tests {
                 other => panic!("expected Failed, got {other:?}"),
             }
         }
-    }
-
-    #[test]
-    fn json_helpers_escape_and_format() {
-        assert_eq!(json_string("a\"b\\c\n"), "\"a\\\"b\\\\c\\n\"");
-        assert_eq!(json_f64(2.5), "2.5");
-        assert_eq!(json_f64(3.0), "3.0");
-        assert_eq!(json_f64(f64::NAN), "null");
     }
 }

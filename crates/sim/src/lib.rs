@@ -25,6 +25,7 @@ pub mod engine;
 pub mod fault;
 pub mod forensics;
 pub mod journal;
+pub mod json;
 pub mod obs;
 pub mod predictor;
 pub mod registry;
@@ -43,11 +44,9 @@ pub use engine::{
     SweepOptions, SweepReport, TraceInput,
 };
 pub use fault::{Fault, FaultPlan, FaultPlanParseError};
-pub use forensics::{
-    chrome_trace, parse_events, parse_json, read_events, EventsError, JsonError, JsonValue,
-    ParsedEvent,
-};
+pub use forensics::{chrome_trace, parse_events, read_events, EventsError, ParsedEvent};
 pub use journal::{Journal, JournalError};
+pub use json::{parse_json, JsonError, JsonValue};
 pub use obs::{
     postmortem_json, saturation_fraction, BranchStats, Event, EventJournal, FlightEntry,
     FlightRecorder, H2pTable, Histogram, JobObs, Metrics, PredictorIntrospect, Progress,

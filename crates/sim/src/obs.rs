@@ -15,6 +15,8 @@
 //!    ([`EventJournal`]) of sweep → job → interval spans with monotonic
 //!    timestamps, plus a live stderr [`Progress`] line.
 //!
+//! Every JSON object and event line here is built with [`crate::json`].
+//!
 //! [`SimResult`]: crate::simulate::SimResult
 
 use std::collections::{BTreeMap, HashMap};
@@ -27,7 +29,7 @@ use std::time::Instant;
 use bfbp_trace::record::BranchKind;
 
 use crate::ckpt::{CodecError, Restorable, StateReader, StateWriter};
-use crate::engine::{json_f64, json_string};
+use crate::json::{array, json_f64, lines, opt, Object};
 use crate::predictor::Provenance;
 
 /// Schema identifier of the span/event journal (one JSON object per line).
@@ -122,21 +124,14 @@ impl Histogram {
         self.bounds.last().copied()
     }
 
-    fn to_json(&self) -> String {
-        let bounds: Vec<String> = self.bounds.iter().map(|b| json_f64(*b)).collect();
-        let counts: Vec<String> = self.counts.iter().map(u64::to_string).collect();
-        let quant = |q: f64| match self.quantile(q) {
-            Some(v) => json_f64(v),
-            None => "null".to_owned(),
-        };
-        format!(
-            "{{\"bounds\": [{}], \"counts\": [{}], \"p50\": {}, \"p90\": {}, \"p99\": {}}}",
-            bounds.join(", "),
-            counts.join(", "),
-            quant(0.5),
-            quant(0.9),
-            quant(0.99)
-        )
+    fn to_json(&self) -> Object {
+        let quantile = |q| opt(self.quantile(q).map(json_f64));
+        Object::new()
+            .member("bounds", array(self.bounds.iter().map(|b| json_f64(*b))))
+            .member("counts", array(&self.counts))
+            .member("p50", quantile(0.5))
+            .member("p90", quantile(0.9))
+            .member("p99", quantile(0.99))
     }
 }
 
@@ -217,35 +212,22 @@ impl Metrics {
 
     /// Renders the registry as one deterministic JSON object.
     pub fn to_json(&self) -> String {
-        let mut out = String::from("{\"counters\": {");
-        for (i, (name, value)) in self.counters.iter().enumerate() {
-            if i > 0 {
-                out.push_str(", ");
-            }
-            out.push_str(&json_string(name));
-            out.push_str(": ");
-            out.push_str(&value.to_string());
-        }
-        out.push_str("}, \"gauges\": {");
-        for (i, (name, value)) in self.gauges.iter().enumerate() {
-            if i > 0 {
-                out.push_str(", ");
-            }
-            out.push_str(&json_string(name));
-            out.push_str(": ");
-            out.push_str(&json_f64(*value));
-        }
-        out.push_str("}, \"histograms\": {");
-        for (i, (name, hist)) in self.histograms.iter().enumerate() {
-            if i > 0 {
-                out.push_str(", ");
-            }
-            out.push_str(&json_string(name));
-            out.push_str(": ");
-            out.push_str(&hist.to_json());
-        }
-        out.push_str("}}");
-        out
+        let counters: Object = self.counters.iter().collect();
+        let gauges: Object = self
+            .gauges
+            .iter()
+            .map(|(name, value)| (name, json_f64(*value)))
+            .collect();
+        let histograms: Object = self
+            .histograms
+            .iter()
+            .map(|(name, hist)| (name, hist.to_json()))
+            .collect();
+        Object::new()
+            .member("counters", counters)
+            .member("gauges", gauges)
+            .member("histograms", histograms)
+            .to_string()
     }
 
     /// Renders the registry as aligned human-readable lines (the
@@ -408,21 +390,13 @@ impl H2pTable {
 
     /// Renders the top-`n` branches as a JSON array (deterministic).
     pub fn to_json(&self, n: usize) -> String {
-        let mut out = String::from("[");
-        for (i, b) in self.top(n).iter().enumerate() {
-            if i > 0 {
-                out.push_str(", ");
-            }
-            out.push_str(&format!(
-                "{{\"pc\": \"{:#x}\", \"executed\": {}, \"taken_rate\": {}, \"mispredicts\": {}}}",
-                b.pc,
-                b.executed,
-                json_f64(b.taken_rate()),
-                b.mispredicted
-            ));
-        }
-        out.push(']');
-        out
+        array(self.top(n).iter().map(|b| {
+            Object::new()
+                .str("pc", &format!("{:#x}", b.pc))
+                .member("executed", b.executed)
+                .f64("taken_rate", b.taken_rate())
+                .member("mispredicts", b.mispredicted)
+        }))
     }
 
     /// Every branch sorted by PC — the canonical order for
@@ -502,21 +476,12 @@ pub struct JobObs {
 /// Renders one job's observability record as a JSON object — the shared
 /// source for both the sweep metrics document and the `diagnose` bin.
 pub fn job_obs_json(series: &str, trace: &str, obs: Option<&JobObs>, top: usize) -> String {
-    let mut out = String::from("{\"series\": ");
-    out.push_str(&json_string(series));
-    out.push_str(", \"trace\": ");
-    out.push_str(&json_string(trace));
-    match obs {
-        Some(obs) => {
-            out.push_str(", \"metrics\": ");
-            out.push_str(&obs.metrics.to_json());
-            out.push_str(", \"h2p\": ");
-            out.push_str(&obs.h2p.to_json(top));
-        }
-        None => out.push_str(", \"metrics\": null, \"h2p\": null"),
-    }
-    out.push('}');
-    out
+    Object::new()
+        .str("series", series)
+        .str("trace", trace)
+        .member("metrics", opt(obs.map(|obs| obs.metrics.to_json())))
+        .member("h2p", opt(obs.map(|obs| obs.h2p.to_json(top))))
+        .to_string()
 }
 
 /// One recorded decision in the [`FlightRecorder`] ring: the per-record
@@ -546,39 +511,25 @@ impl FlightEntry {
         self.kind.is_conditional() && self.predicted != self.outcome
     }
 
-    fn to_json(self) -> String {
-        let opt_bool = |v: Option<bool>| match v {
-            Some(b) => b.to_string(),
-            None => "null".to_owned(),
-        };
-        let provenance = match &self.provenance {
-            Some(p) => format!(
-                "{{\"component\": {}, \"table\": {}, \"prediction\": {}, \
-                 \"alternate\": {}, \"counter\": {}, \"margin\": {}, \"history_len\": {}}}",
-                json_string(p.component),
-                p.table.map_or_else(|| "null".to_owned(), |v| v.to_string()),
-                p.prediction,
-                opt_bool(p.alternate),
-                p.counter
-                    .map_or_else(|| "null".to_owned(), |v| v.to_string()),
-                p.margin
-                    .map_or_else(|| "null".to_owned(), |v| v.to_string()),
-                p.history_len
-                    .map_or_else(|| "null".to_owned(), |v| v.to_string()),
-            ),
-            None => "null".to_owned(),
-        };
-        format!(
-            "{{\"i\": {}, \"pc\": \"{:#x}\", \"kind\": {}, \"predicted\": {}, \
-             \"taken\": {}, \"mispredicted\": {}, \"provenance\": {}}}",
-            self.index,
-            self.pc,
-            json_string(&self.kind.to_string()),
-            self.predicted,
-            self.outcome,
-            self.mispredicted(),
-            provenance
-        )
+    fn to_json(self) -> Object {
+        let provenance = self.provenance.map(|p| {
+            Object::new()
+                .str("component", p.component)
+                .member("table", opt(p.table))
+                .member("prediction", p.prediction)
+                .member("alternate", opt(p.alternate))
+                .member("counter", opt(p.counter))
+                .member("margin", opt(p.margin))
+                .member("history_len", opt(p.history_len))
+        });
+        Object::new()
+            .member("i", self.index)
+            .str("pc", &format!("{:#x}", self.pc))
+            .str("kind", &self.kind.to_string())
+            .member("predicted", self.predicted)
+            .member("taken", self.outcome)
+            .member("mispredicted", self.mispredicted())
+            .member("provenance", opt(provenance))
     }
 }
 
@@ -691,31 +642,26 @@ pub fn postmortem_json(
     status: &str,
     detail: &str,
 ) -> String {
-    let mut out = format!(
-        "{{\n  \"schema\": {},\n  \"job\": {},\n  \"series\": {},\n  \"trace\": {},\n  \
-         \"status\": {},\n  \"detail\": {},\n  \"recorded\": {},\n  \"capacity\": {},\n  \
-         \"entries\": [",
-        json_string(POSTMORTEM_SCHEMA),
-        job,
-        json_string(series),
-        json_string(trace),
-        json_string(status),
-        json_string(detail),
-        recorder.total_recorded(),
-        recorder.capacity()
-    );
-    for (i, entry) in recorder.entries().iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str("\n    ");
-        out.push_str(&entry.to_json());
-    }
-    if !recorder.is_empty() {
-        out.push_str("\n  ");
-    }
-    out.push_str("]\n}\n");
-    out
+    let entries = recorder.entries();
+    let entries = if entries.is_empty() {
+        "[]".to_owned()
+    } else {
+        format!(
+            "[\n{}  ]",
+            lines(entries.iter().map(|e| e.to_json()), "    ")
+        )
+    };
+    let doc = Object::lines("  ")
+        .str("schema", POSTMORTEM_SCHEMA)
+        .member("job", job)
+        .str("series", series)
+        .str("trace", trace)
+        .str("status", status)
+        .str("detail", detail)
+        .member("recorded", recorder.total_recorded())
+        .member("capacity", recorder.capacity())
+        .member("entries", entries);
+    format!("{doc}\n")
 }
 
 /// One event line under construction for the [`EventJournal`].
@@ -725,7 +671,7 @@ pub fn postmortem_json(
 #[derive(Debug)]
 pub struct Event {
     ev: &'static str,
-    fields: String,
+    fields: Object,
 }
 
 impl Event {
@@ -733,38 +679,34 @@ impl Event {
     pub fn new(ev: &'static str) -> Self {
         Self {
             ev,
-            fields: String::new(),
+            fields: Object::new(),
         }
     }
 
     /// Appends an unsigned integer field.
     pub fn num(mut self, key: &str, value: u64) -> Self {
-        self.fields
-            .push_str(&format!(", {}: {}", json_string(key), value));
+        self.fields = self.fields.member(key, value);
         self
     }
 
     /// Appends a float field.
     pub fn float(mut self, key: &str, value: f64) -> Self {
-        self.fields
-            .push_str(&format!(", {}: {}", json_string(key), json_f64(value)));
+        self.fields = self.fields.f64(key, value);
         self
     }
 
     /// Appends a string field (escaped).
     pub fn str(mut self, key: &str, value: &str) -> Self {
-        self.fields
-            .push_str(&format!(", {}: {}", json_string(key), json_string(value)));
+        self.fields = self.fields.str(key, value);
         self
     }
 
     fn render(&self, t_us: u64) -> String {
-        format!(
-            "{{\"ev\": {}, \"t_us\": {}{}}}\n",
-            json_string(self.ev),
-            t_us,
-            self.fields
-        )
+        let line = Object::new()
+            .str("ev", self.ev)
+            .member("t_us", t_us)
+            .append(&self.fields);
+        format!("{line}\n")
     }
 }
 
@@ -1075,13 +1017,13 @@ mod tests {
         let mut over = Histogram::new(&[1.0]);
         over.observe(99.0);
         assert!((over.quantile(0.5).unwrap() - 1.0).abs() < 1e-9);
-        let json = h.to_json();
+        let json = h.to_json().to_string();
         assert!(json.contains("\"p50\": 10.0"), "{json}");
         assert!(json.contains("\"p90\":"), "{json}");
         assert!(json.contains("\"p99\":"), "{json}");
         // Empty histograms render null quantiles, never invalid JSON.
         let empty = Histogram::new(&[1.0]);
-        assert!(empty.to_json().contains("\"p50\": null"));
+        assert!(empty.to_json().to_string().contains("\"p50\": null"));
     }
 
     #[test]

@@ -28,6 +28,7 @@
 use std::collections::BTreeMap;
 use std::fmt;
 
+use crate::json::{json_f64, json_string, Object};
 use crate::predictor::{ConditionalPredictor, PredictorCaps, StaticPredictor};
 
 /// A typed parameter value.
@@ -72,14 +73,14 @@ impl ParamValue {
         }
     }
 
-    /// Renders the value as a JSON literal (strings quoted and escaped).
+    /// Renders the value as a JSON literal: ints and bools bare, floats
+    /// through [`json_f64`], strings quoted and escaped.
     pub fn to_json(&self) -> String {
         match self {
             ParamValue::Int(i) => i.to_string(),
-            ParamValue::Float(f) if f.is_finite() => f.to_string(),
-            ParamValue::Float(_) => "null".to_owned(),
+            ParamValue::Float(f) => json_f64(*f),
             ParamValue::Bool(b) => b.to_string(),
-            ParamValue::Str(s) => crate::engine::json_string(s),
+            ParamValue::Str(s) => json_string(s),
         }
     }
 }
@@ -179,6 +180,17 @@ impl Params {
     /// Iterates parameters in key order.
     pub fn iter(&self) -> impl Iterator<Item = (&str, &ParamValue)> {
         self.values.iter().map(|(k, v)| (k.as_str(), v))
+    }
+
+    /// Renders the set as one JSON object in key order, each value
+    /// through [`ParamValue::to_json`]: the `params` of the sweep and
+    /// frontier documents.
+    pub fn to_json(&self) -> String {
+        let object: Object = self
+            .iter()
+            .map(|(key, value)| (key, value.to_json()))
+            .collect();
+        object.to_string()
     }
 
     /// All parameter keys in order, for error messages and search-space

@@ -22,7 +22,6 @@ use bfbp_trace::record::Trace;
 use bfbp_trace::synth::suite::TraceSpec;
 
 use crate::obs::{Event, EventJournal};
-use crate::predictor::ConditionalPredictor;
 use crate::registry::{BuildError, PredictorRegistry, PredictorSpec};
 use crate::simulate::{simulate, SimResult};
 
@@ -107,17 +106,6 @@ impl SuiteRunner {
             })
             .collect())
     }
-
-    /// Runs a predictor over a single named trace; returns `None` if the
-    /// name is not in the suite.
-    pub fn run_one<P: ConditionalPredictor>(
-        &self,
-        name: &str,
-        predictor: &mut P,
-    ) -> Option<SimResult> {
-        let idx = self.specs.iter().position(|s| s.name() == name)?;
-        Some(simulate(predictor, &self.traces[idx]))
-    }
 }
 
 /// The record count a spec materializes at scale `scale`: the default
@@ -131,7 +119,6 @@ pub fn scaled_len(spec: &TraceSpec, scale: f64) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::predictor::StaticPredictor;
     use bfbp_trace::cache::CacheStatus;
     use bfbp_trace::synth::suite;
 
@@ -193,13 +180,5 @@ mod tests {
             runner.run_spec(&registry, &PredictorSpec::new("nope")),
             Err(BuildError::UnknownPredictor { .. })
         ));
-    }
-
-    #[test]
-    fn run_one_finds_named_trace() {
-        let runner = SuiteRunner::from_specs(vec![suite::find("INT3").unwrap()], 0.01);
-        let mut p = StaticPredictor::always_taken();
-        assert!(runner.run_one("INT3", &mut p).is_some());
-        assert!(runner.run_one("INT4", &mut p).is_none());
     }
 }

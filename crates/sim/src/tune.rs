@@ -55,7 +55,8 @@ use bfbp_trace::synth::suite::TraceSpec;
 use crate::ckpt::{
     fnv1a, read_ckpt_file, write_atomic, write_ckpt_file, CodecError, StateReader, StateWriter,
 };
-use crate::engine::{self, json_f64, json_string, SweepError, SweepOptions, TraceInput};
+use crate::engine::{self, SweepError, SweepOptions, TraceInput};
+use crate::json::{array, json_f64, json_string, lines, Object};
 use crate::obs::{Event, EventJournal};
 use crate::registry::{ParamValue, Params, PredictorRegistry, PredictorSpec};
 use crate::runner::scaled_len;
@@ -643,112 +644,63 @@ impl TuneReport {
     /// no timings, hostnames, or thread counts — byte-identical across
     /// machines for the same (space, budget, schedule, suite).
     pub fn frontier_json(&self) -> String {
-        let mut out = String::with_capacity(4096);
-        out.push_str("{\n");
-        out.push_str(&format!(
-            "  \"schema\": {},\n",
-            json_string(FRONTIER_SCHEMA)
-        ));
-        out.push_str(&format!(
-            "  \"predictor\": {},\n",
-            json_string(&self.predictor)
-        ));
-        out.push_str(&format!(
-            "  \"space\": {},\n",
-            json_string(&self.space_text)
-        ));
-        out.push_str(&format!("  \"budget_bits\": {},\n", self.budget_bits));
-        out.push_str(&format!("  \"eta\": {},\n", self.eta));
-        out.push_str(&format!("  \"rungs\": {},\n", self.rungs));
-        out.push_str(&format!("  \"samples\": {},\n", self.samples));
-        out.push_str(&format!("  \"seed\": {},\n", self.seed));
-        let traces = self
-            .trace_names
-            .iter()
-            .map(|t| json_string(t))
-            .collect::<Vec<_>>()
-            .join(", ");
-        out.push_str(&format!("  \"traces\": [{traces}],\n"));
-        out.push_str(&format!(
-            "  \"candidates\": {{\"declared\": {}, \"feasible\": {}, \"over_budget\": {}, \
-             \"rejected\": {}}},\n",
-            self.declared,
-            self.candidates.len(),
-            self.over_budget,
-            self.rejected
-        ));
-        let divisors = self
+        let points = self.frontier.iter().map(|point| {
+            let storage = point.storage.items().iter().map(|item| {
+                Object::new()
+                    .str("component", item.label())
+                    .member("bits", item.bits())
+            });
+            Object::lines("      ")
+                .member("candidate", point.candidate)
+                .str("label", &format!("c{}", point.candidate))
+                .member("params", point.params.to_json())
+                .f64("mean_mpki", point.mean_mpki)
+                .member("total_bits", point.total_bits)
+                .f64(
+                    "total_kb",
+                    (point.total_bits as f64 / 8192.0 * 10.0).round() / 10.0,
+                )
+                .member("storage", array(storage))
+                .member(
+                    "mpki_by_rung",
+                    array(point.mpki_by_rung.iter().map(|m| json_f64(*m))),
+                )
+        });
+        let frontier = if self.frontier.is_empty() {
+            "[]".to_owned()
+        } else {
+            format!("[\n{}  ]", lines(points, "    "))
+        };
+        let candidates = Object::new()
+            .member("declared", self.declared)
+            .member("feasible", self.candidates.len())
+            .member("over_budget", self.over_budget)
+            .member("rejected", self.rejected);
+        let rung_candidates = self
             .outcomes
             .iter()
-            .map(|o| o.divisor.to_string())
-            .collect::<Vec<_>>()
-            .join(", ");
-        out.push_str(&format!("  \"rung_divisors\": [{divisors}],\n"));
-        let survivors = self
-            .outcomes
-            .iter()
-            .map(|o| {
-                let ids = o
-                    .scores
-                    .iter()
-                    .map(|(i, _)| i.to_string())
-                    .collect::<Vec<_>>()
-                    .join(", ");
-                format!("[{ids}]")
-            })
-            .collect::<Vec<_>>()
-            .join(", ");
-        out.push_str(&format!("  \"rung_candidates\": [{survivors}],\n"));
-        out.push_str("  \"frontier\": [");
-        for (i, point) in self.frontier.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str("\n    {\n");
-            out.push_str(&format!("      \"candidate\": {},\n", point.candidate));
-            out.push_str(&format!(
-                "      \"label\": {},\n",
-                json_string(&format!("c{}", point.candidate))
-            ));
-            out.push_str(&format!(
-                "      \"params\": {},\n",
-                params_json(&point.params)
-            ));
-            out.push_str(&format!(
-                "      \"mean_mpki\": {},\n",
-                json_f64(point.mean_mpki)
-            ));
-            out.push_str(&format!("      \"total_bits\": {},\n", point.total_bits));
-            out.push_str(&format!(
-                "      \"total_kb\": {},\n",
-                json_f64((point.total_bits as f64 / 8192.0 * 10.0).round() / 10.0)
-            ));
-            out.push_str("      \"storage\": [");
-            for (j, item) in point.storage.items().iter().enumerate() {
-                if j > 0 {
-                    out.push_str(", ");
-                }
-                out.push_str(&format!(
-                    "{{\"component\": {}, \"bits\": {}}}",
-                    json_string(item.label()),
-                    item.bits()
-                ));
-            }
-            out.push_str("],\n");
-            let trail = point
-                .mpki_by_rung
-                .iter()
-                .map(|m| json_f64(*m))
-                .collect::<Vec<_>>()
-                .join(", ");
-            out.push_str(&format!("      \"mpki_by_rung\": [{trail}]\n"));
-            out.push_str("    }");
-        }
-        if !self.frontier.is_empty() {
-            out.push_str("\n  ");
-        }
-        out.push_str("]\n}\n");
-        out
+            .map(|o| array(o.scores.iter().map(|(candidate, _)| candidate)));
+        let doc = Object::lines("  ")
+            .str("schema", FRONTIER_SCHEMA)
+            .str("predictor", &self.predictor)
+            .str("space", &self.space_text)
+            .member("budget_bits", self.budget_bits)
+            .member("eta", self.eta)
+            .member("rungs", self.rungs)
+            .member("samples", self.samples)
+            .member("seed", self.seed)
+            .member(
+                "traces",
+                array(self.trace_names.iter().map(|t| json_string(t))),
+            )
+            .member("candidates", candidates)
+            .member(
+                "rung_divisors",
+                array(self.outcomes.iter().map(|o| o.divisor)),
+            )
+            .member("rung_candidates", array(rung_candidates))
+            .member("frontier", frontier);
+        format!("{doc}\n")
     }
 
     /// Writes the frontier document atomically (tmp + rename), so a
@@ -760,25 +712,6 @@ impl TuneReport {
     pub fn write_frontier(&self, path: &Path) -> std::io::Result<()> {
         write_atomic(path, self.frontier_json().as_bytes())
     }
-}
-
-/// Renders [`Params`] as a deterministic JSON object with native types
-/// (ints and floats unquoted, bools bare, strings escaped).
-fn params_json(params: &Params) -> String {
-    let fields = params
-        .iter()
-        .map(|(k, v)| {
-            let value = match v {
-                ParamValue::Int(i) => i.to_string(),
-                ParamValue::Float(x) => json_f64(*x),
-                ParamValue::Bool(b) => b.to_string(),
-                ParamValue::Str(s) => json_string(s),
-            };
-            format!("{}: {value}", json_string(k))
-        })
-        .collect::<Vec<_>>()
-        .join(", ");
-    format!("{{{fields}}}")
 }
 
 /// Runs the full successive-halving search and returns the report.

@@ -170,11 +170,6 @@ impl<T: TageEngine> Isl<T> {
     pub fn engine(&self) -> &T {
         &self.tage
     }
-
-    /// Mutable access to the wrapped engine.
-    pub fn engine_mut(&mut self) -> &mut T {
-        &mut self.tage
-    }
 }
 
 impl<T: TageEngine> ConditionalPredictor for Isl<T> {
@@ -371,6 +366,5 @@ mod tests {
         assert_eq!(isl.provider_stats().total(), 100);
         isl.reset_provider_stats();
         assert_eq!(isl.engine().provider_stats().total(), 0);
-        let _ = isl.engine_mut();
     }
 }

@@ -185,11 +185,6 @@ impl TageCore {
         self.stats = ProviderStats::new(self.tables.len());
     }
 
-    /// Successful allocations per tagged table, shortest history first.
-    pub fn alloc_counts(&self) -> &[u64] {
-        &self.allocs
-    }
-
     /// Mispredictions where allocation failed (every candidate useful).
     pub fn alloc_failures(&self) -> u64 {
         self.alloc_failures

@@ -210,11 +210,6 @@ impl Trace {
     pub fn push(&mut self, record: BranchRecord) {
         self.records.push(record);
     }
-
-    /// Consumes the trace, returning its records.
-    pub fn into_records(self) -> Vec<BranchRecord> {
-        self.records
-    }
 }
 
 impl<'a> IntoIterator for &'a Trace {

@@ -159,12 +159,6 @@ pub enum BehaviorModel {
 }
 
 impl BehaviorModel {
-    /// Whether this model produces a completely biased branch by
-    /// construction (useful as ground truth in tests).
-    pub fn is_statically_biased(&self) -> bool {
-        matches!(self, BehaviorModel::Bias(_))
-    }
-
     /// Largest referenced source id, if any — used by program validation.
     pub fn max_src(&self) -> Option<BranchId> {
         match self {

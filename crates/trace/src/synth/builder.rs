@@ -431,27 +431,6 @@ impl ProgramBuilder {
         );
     }
 
-    /// Adds `n` branches that follow fixed local (self-history) patterns
-    /// of the given period — the class where recency-stack filtering
-    /// *hurts* (§VI-D). Patterns are random but fixed per branch.
-    pub fn add_local_pattern_run(&mut self, n: usize, period: usize, weight: u32) {
-        let period = period.max(2);
-        let steps: Vec<Step> = (0..n)
-            .map(|_| {
-                // Random non-constant pattern.
-                let mut pattern: Vec<bool> = (0..period).map(|_| self.rng.chance(0.5)).collect();
-                if pattern.iter().all(|&b| b) {
-                    pattern[0] = false;
-                }
-                if pattern.iter().all(|&b| !b) {
-                    pattern[0] = true;
-                }
-                Step::Cond(self.add_branch(BehaviorModel::LocalPattern { pattern }))
-            })
-            .collect();
-        self.add_scene(weight, steps);
-    }
-
     /// Adds a pool of `n` branches that are biased within a phase but flip
     /// direction every `period` dynamic branches — stressing dynamic bias
     /// detection exactly as the paper's SERVER traces do (§VI-D).
@@ -611,24 +590,6 @@ mod tests {
             assert_eq!(chunk.iter().filter(|&&t| t).count(), 6);
             assert!(!chunk[6]);
         }
-    }
-
-    #[test]
-    fn local_patterns_are_periodic() {
-        let mut b = ProgramBuilder::new(3);
-        b.add_local_pattern_run(1, 5, 1);
-        let trace = b.build().emit("t", 500, 3);
-        let pc = trace.records()[0].pc;
-        let outs: Vec<bool> = trace
-            .iter()
-            .filter(|r| r.pc == pc)
-            .map(|r| r.taken)
-            .collect();
-        for i in 5..outs.len() {
-            assert_eq!(outs[i], outs[i - 5]);
-        }
-        // Not constant.
-        assert!(outs[..5].iter().any(|&o| o) && outs[..5].iter().any(|&o| !o));
     }
 
     #[test]

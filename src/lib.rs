@@ -38,7 +38,7 @@ pub use bfbp_tage as tage;
 pub use bfbp_trace as trace;
 
 pub use bfbp_sim::{
-    chrome_trace, parse_events, parse_json, postmortem_json, read_events, tune, FlightEntry,
+    chrome_trace, json::parse_json, parse_events, postmortem_json, read_events, tune, FlightEntry,
     FlightRecorder, FrontierPoint, ParsedEvent, PredictorCaps, Provenance, SearchSpace,
     ServeClient, ServeError, ServeOptions, Server, ServerHandle, SessionStats, Simulation,
     SimulationError, TraceInput, TuneError, TuneOptions, TuneReport,

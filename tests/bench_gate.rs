@@ -5,7 +5,7 @@
 use std::fs;
 use std::path::{Path, PathBuf};
 
-use bfbp::sim::forensics::{parse_json, JsonValue};
+use bfbp::sim::json::{parse_json, JsonValue};
 use bfbp_bench::gate::{check, compare, find_baseline, Finding, Status};
 
 /// An untraced result document as perfbench writes it.

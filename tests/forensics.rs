@@ -10,7 +10,8 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 
 use bfbp::sim::engine::{sweep, JobStatus, RetryPolicy, SweepOptions};
 use bfbp::sim::fault::FaultPlan;
-use bfbp::sim::forensics::{chrome_trace, parse_events, parse_json, read_events, JsonValue};
+use bfbp::sim::forensics::{chrome_trace, parse_events, read_events};
+use bfbp::sim::json::{parse_json, JsonValue};
 use bfbp::sim::registry::PredictorSpec;
 use bfbp::sim::runner::SuiteRunner;
 use bfbp::trace::synth::suite;
