@@ -223,10 +223,15 @@ mod tests {
         let mut c = SatCounter::new(3);
         c.train(true);
         assert_eq!(c.value(), 1);
+        assert!(!c.is_weak());
         c.train(false);
+        assert_eq!(c.value(), 0);
+        assert!(c.is_weak() && c.is_taken());
         c.train(false);
         assert_eq!(c.value(), -1);
-        assert!(!c.is_taken());
+        assert!(c.is_weak() && !c.is_taken());
+        c.train(false);
+        assert!(!c.is_weak());
     }
 
     #[test]

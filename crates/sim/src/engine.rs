@@ -84,7 +84,8 @@ use crate::registry::{BuildError, Params, PredictorRegistry, PredictorSpec};
 use crate::runner::SuiteRunner;
 use crate::simulate::{mean_mpki, IntervalPoint, SimResult, Simulation, SimulationError};
 
-// Kept for perfbench, which imports these two from here.
+// This module's own import, made `pub` because perfbench imports these
+// two from here; private once perfbench imports them from `crate::json`.
 pub use crate::json::{json_f64, json_string};
 
 /// Schema identifier of the sweep result document.

@@ -17,7 +17,8 @@ use std::fmt;
 use std::path::Path;
 
 use crate::json::{lines, JsonError, Object};
-// Kept for perfbench, which imports these two from here.
+// This module's own import, made `pub` because perfbench imports these
+// two from here; private once perfbench imports them from `crate::json`.
 pub use crate::json::{parse_json, JsonValue};
 
 /// One parsed `bfbp-events/1` line: the event kind, its timestamp, and
