@@ -19,10 +19,15 @@
 //! lengths honor `BFBP_TRACE_SCALE` and the trace cache serves every
 //! rung's truncated traces.
 //!
-//! Crash consistency: `--state PATH` journals each completed rung
-//! (`bfbp-tune/1`, atomic tmp+rename + FNV-1a trailer); a killed run
-//! restarted with `--resume` re-enters the exact rung it died in, and
-//! the frontier it writes is byte-identical to an uninterrupted run.
+//! Crash consistency: `--state PATH` names the rung journals. Rung `r`
+//! keeps an ordinary sweep journal at `PATH` with its extension
+//! replaced by `rung<r>.journal`; no other state file is written. A
+//! killed run restarted with `--resume` restores every finished job
+//! from those journals and simulates the rest, and the frontier it
+//! writes is byte-identical to an uninterrupted run. A journal of other
+//! work (other candidates or trace lengths at some rung) is refused
+//! with a matrix mismatch; a run without `--resume` removes the
+//! journals of its schedule before it starts.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -49,8 +54,8 @@ fn main() -> ExitCode {
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         // Tuner flags first: the tuner's `--resume` is a boolean (the
-        // state file is `--state`), unlike the common sweep flag of
-        // the same name which takes a journal path.
+        // rung journals are named by `--state`), unlike the common
+        // sweep flag of the same name which takes a journal path.
         match arg.as_str() {
             "--space" => match args.next() {
                 Some(text) => space_text = Some(text),

@@ -187,6 +187,7 @@ fn rounded(x: f64) -> String {
 fn show(value: Option<&JsonValue>) -> String {
     match value {
         Some(JsonValue::Str(s)) => s.clone(),
+        Some(JsonValue::Int(n)) => n.to_string(),
         Some(JsonValue::Num(n)) => n.to_string(),
         Some(JsonValue::Bool(b)) => b.to_string(),
         _ => "missing".to_owned(),

@@ -44,9 +44,8 @@ pub use bfbp_trace::format::fnv1a;
 pub enum CodecError {
     /// The byte stream ended before the value it promised.
     Truncated,
-    /// The file does not start with the expected magic ([`CKPT_MAGIC`]
-    /// or the tuner's [`TUNE_MAGIC`](crate::tune::TUNE_MAGIC)): a wrong
-    /// file, or a future format version.
+    /// The file does not start with [`CKPT_MAGIC`]: a wrong file, or a
+    /// future format version.
     BadMagic,
     /// The payload checksum does not match the trailer (torn or
     /// corrupted write).
@@ -489,7 +488,7 @@ impl JobCheckpoint {
     /// Returns the underlying io error; callers treat a failed write as
     /// "no checkpoint taken" (the previous file, if any, stays valid).
     pub fn write_to(&self, path: &Path) -> std::io::Result<()> {
-        write_ckpt_file(path, CKPT_MAGIC, &self.to_bytes())
+        write_ckpt_file(path, &self.to_bytes())
     }
 
     /// Reads and fully validates a checkpoint from `path`.
@@ -499,23 +498,22 @@ impl JobCheckpoint {
     /// Returns a [`CodecError`] when the file is missing, torn,
     /// corrupted, or not a `bfbp-ckpt/1` document.
     pub fn read_from(path: &Path) -> Result<Self, CodecError> {
-        Self::from_bytes(&read_ckpt_file(path, CKPT_MAGIC)?)
+        Self::from_bytes(&read_ckpt_file(path)?)
     }
 }
 
-/// Frames `payload` as a checkpoint container and writes it atomically:
-/// `magic`, the payload, its little-endian length and its FNV-1a. A
-/// temporary sibling is written, flushed, and renamed over `path`, so a
-/// crash mid-write leaves either the old file or no file — never a torn
-/// one under the final name. Job checkpoints and session files use
-/// [`CKPT_MAGIC`]; the tuner's state file uses its own magic.
+/// Frames `payload` as a `bfbp-ckpt/1` container and writes it
+/// atomically: [`CKPT_MAGIC`], the payload, its little-endian length and
+/// its FNV-1a. A temporary sibling is written, flushed, and renamed over
+/// `path`, so a crash mid-write leaves either the old file or no file —
+/// never a torn one under the final name.
 ///
 /// # Errors
 ///
 /// Returns the underlying io error (the temporary file is removed).
-pub fn write_ckpt_file(path: &Path, magic: &[u8], payload: &[u8]) -> std::io::Result<()> {
-    let mut bytes = Vec::with_capacity(magic.len() + payload.len() + 16);
-    bytes.extend_from_slice(magic);
+pub fn write_ckpt_file(path: &Path, payload: &[u8]) -> std::io::Result<()> {
+    let mut bytes = Vec::with_capacity(CKPT_MAGIC.len() + payload.len() + 16);
+    bytes.extend_from_slice(CKPT_MAGIC);
     bytes.extend_from_slice(payload);
     bytes.extend_from_slice(&(payload.len() as u64).to_le_bytes());
     bytes.extend_from_slice(&fnv1a(payload).to_le_bytes());
@@ -547,16 +545,16 @@ pub fn write_atomic(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
     result
 }
 
-/// Reads a container written by [`write_ckpt_file`] under `magic` and
-/// returns its validated payload.
+/// Reads a container written by [`write_ckpt_file`] and returns its
+/// validated payload.
 ///
 /// # Errors
 ///
 /// Returns a [`CodecError`] when the file cannot be read, the magic or
 /// trailer is wrong, or the checksum does not match.
-pub fn read_ckpt_file(path: &Path, magic: &[u8]) -> Result<Vec<u8>, CodecError> {
+pub fn read_ckpt_file(path: &Path) -> Result<Vec<u8>, CodecError> {
     let bytes = fs::read(path)?;
-    let body = bytes.strip_prefix(magic).ok_or(CodecError::BadMagic)?;
+    let body = bytes.strip_prefix(CKPT_MAGIC).ok_or(CodecError::BadMagic)?;
     if body.len() < 16 {
         return Err(CodecError::Truncated);
     }

@@ -138,8 +138,10 @@ pub struct SweepOptions {
     /// Checkpoint journal to append completed jobs to.
     pub journal: Option<PathBuf>,
     /// Journal to restore completed jobs from; only missing or failed
-    /// jobs are re-run. Point [`SweepOptions::journal`] at the same file
-    /// to keep checkpointing the resumed run.
+    /// jobs are re-run. The journal must belong to this matrix
+    /// ([`journal::matrix_id`], trace lengths included), or the sweep
+    /// fails with [`SweepError::Journal`]. Point [`SweepOptions::journal`]
+    /// at the same file to keep checkpointing the resumed run.
     pub resume_from: Option<PathBuf>,
     /// Mid-job checkpoint cadence in trace records; `0` disables
     /// mid-job checkpointing. Takes effect only together with
@@ -1472,7 +1474,7 @@ pub fn sweep_inputs(
     let trace_names: Vec<String> = inputs.iter().map(|t| t.name().to_owned()).collect();
     let n_traces = inputs.len();
     let n_jobs = specs.len() * n_traces;
-    let matrix = journal::matrix_id(&series, &trace_names, options.interval_insts);
+    let matrix = journal::matrix_id(&series, inputs, options.interval_insts);
 
     // Resume: restore completed jobs recorded for this exact matrix.
     let mut restored: BTreeMap<usize, JobOutcome> = BTreeMap::new();

@@ -18,21 +18,20 @@
 //! ckpt <job> records=<n> file=<esc>
 //! ```
 //!
-//! The `matrix` field fingerprints the (spec × trace × interval) matrix;
-//! [`Journal::load`] refuses to resume a journal recorded for a
-//! different matrix, because job indices would silently point at
-//! different work. Only `ok` records are restored on resume — failed,
-//! timed-out, killed, and skipped jobs are re-run.
+//! The `matrix` field ([`matrix_id`]) fingerprints the (spec × trace ×
+//! interval) matrix, trace lengths included; [`Journal::load`] refuses to
+//! resume a journal recorded for a different matrix, because job indices
+//! would silently point at different work. Only `ok` records are
+//! restored on resume — failed, timed-out, killed, and skipped jobs are
+//! re-run.
 //!
-//! `bfbp-journal/2` adds two line kinds over `/1`: `ckpt` references the
-//! latest mid-job `bfbp-ckpt/1` snapshot file written for a still-running
-//! job (so an operator can see where a crashed campaign would resume
-//! from), and `killed` records a fault-injected simulated process death.
-//! The engine never writes `killed` in practice — a killed job
-//! deliberately leaves **no** terminal entry, exactly like a real
-//! SIGKILL — but the codec is total over [`JobStatus`] so round-trips
-//! stay lossless. [`Journal::load`] accepts `/1` journals unchanged
-//! (they simply contain neither new line kind).
+//! A `ckpt` line references the latest mid-job `bfbp-ckpt/1` snapshot
+//! file written for a still-running job (so an operator can see where a
+//! crashed campaign would resume from), and `killed` records a
+//! fault-injected simulated process death. The engine never writes
+//! `killed` in practice — a killed job deliberately leaves **no**
+//! terminal entry, exactly like a real SIGKILL — but the codec is total
+//! over [`JobStatus`] so round-trips stay lossless.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -44,15 +43,11 @@ use std::time::Duration;
 
 use bfbp_trace::format::Fnv;
 
-use crate::engine::{JobOutcome, JobRecord, JobStatus, SeriesInfo};
+use crate::engine::{JobOutcome, JobRecord, JobStatus, SeriesInfo, TraceInput};
 use crate::simulate::{IntervalPoint, SimResult};
 
 /// Journal format identifier (first token of the header line).
 pub const JOURNAL_SCHEMA: &str = "bfbp-journal/2";
-
-/// The previous journal format, still accepted by [`Journal::load`]: a
-/// strict subset of `/2` (no `ckpt` or `killed` lines).
-pub const LEGACY_JOURNAL_SCHEMA: &str = "bfbp-journal/1";
 
 /// Why a journal could not be written, read, or matched to a sweep.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -71,7 +66,8 @@ pub enum JournalError {
         /// Human-readable reason.
         reason: String,
     },
-    /// The journal was recorded for a different (spec × trace) matrix.
+    /// The journal was recorded for a different matrix: other specs,
+    /// other traces, or other trace lengths.
     MatrixMismatch {
         /// Fingerprint of the sweep being resumed.
         expected: u64,
@@ -92,7 +88,7 @@ impl fmt::Display for JournalError {
             JournalError::MatrixMismatch { expected, found } => write!(
                 f,
                 "journal matrix mismatch: sweep is {expected:016x}, journal records {found:016x} \
-                 — the journal belongs to a different (spec × trace) matrix"
+                 — the journal belongs to a different matrix (specs, traces and trace lengths)"
             ),
         }
     }
@@ -107,19 +103,21 @@ fn io_err(path: &Path, error: std::io::Error) -> JournalError {
     }
 }
 
-/// Fingerprints a sweep's job matrix: every series' label, predictor,
-/// and effective parameters, every trace name, and the interval width.
-/// FNV-1a over a length-prefixed field stream, so field boundaries are
-/// unambiguous.
-pub fn matrix_id(series: &[SeriesInfo], trace_names: &[String], interval_insts: u64) -> u64 {
+/// Fingerprints a sweep's job matrix — the one identity of resumable
+/// work: every series' label, predictor, and effective parameters, every
+/// trace column's name and record count (so another trace scale is
+/// another matrix), and the interval width. FNV-1a over a
+/// length-prefixed field stream, so field boundaries are unambiguous.
+pub fn matrix_id(series: &[SeriesInfo], inputs: &[TraceInput], interval_insts: u64) -> u64 {
     let mut hash = Fnv::new();
     for info in series {
         hash.field(info.label.as_bytes());
         hash.field(info.predictor.as_bytes());
         hash.field(info.params.summary().as_bytes());
     }
-    for name in trace_names {
-        hash.field(name.as_bytes());
+    for input in inputs {
+        hash.field(input.name().as_bytes());
+        hash.field(&input.n_records().to_le_bytes());
     }
     hash.field(&interval_insts.to_le_bytes());
     hash.finish()
@@ -374,8 +372,7 @@ pub struct LoadedJournal {
     pub n_jobs: usize,
     /// Last recorded outcome per job index (all statuses).
     pub entries: BTreeMap<usize, JobOutcome>,
-    /// Last mid-job checkpoint reference per job index (`bfbp-journal/2`
-    /// only; empty for legacy `/1` journals).
+    /// Last mid-job checkpoint reference per job index.
     pub checkpoints: BTreeMap<usize, CkptRef>,
 }
 
@@ -499,8 +496,7 @@ impl Journal {
             reason: "empty journal".into(),
         })?;
         let mut tokens = header.split(' ');
-        let schema = tokens.next();
-        if schema != Some(JOURNAL_SCHEMA) && schema != Some(LEGACY_JOURNAL_SCHEMA) {
+        if tokens.next() != Some(JOURNAL_SCHEMA) {
             return Err(JournalError::Parse {
                 line: 1,
                 reason: format!("not a {JOURNAL_SCHEMA} header: {header:?}"),
@@ -739,21 +735,10 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    #[test]
-    fn legacy_v1_journals_still_load() {
-        let dir = std::env::temp_dir().join("bfbp-journal-test-legacy");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("v1.journal");
-        std::fs::write(
-            &path,
-            format!("{LEGACY_JOURNAL_SCHEMA} matrix=00000000deadbeef jobs=2\nskipped 0\n"),
-        )
-        .unwrap();
-        let loaded = Journal::load(&path, Some(0xDEAD_BEEF)).unwrap();
-        assert_eq!(loaded.n_jobs, 2);
-        assert_eq!(loaded.entries.len(), 1);
-        assert!(loaded.checkpoints.is_empty());
-        let _ = std::fs::remove_dir_all(&dir);
+    /// A trace column of `records` identical branches.
+    fn column(name: &str, records: usize) -> TraceInput {
+        let record = bfbp_trace::BranchRecord::cond(0x40, 0x80, true, 0);
+        TraceInput::ready(bfbp_trace::Trace::new(name, vec![record; records]))
     }
 
     #[test]
@@ -766,19 +751,21 @@ mod tests {
             predictor_name: pred.into(),
             storage_bytes: 0,
         };
-        let traces = vec!["A".to_owned(), "B".to_owned()];
+        let traces = [column("A", 10), column("B", 20)];
         let base = matrix_id(&[series("x", "gshare")], &traces, 100);
         assert_ne!(base, matrix_id(&[series("y", "gshare")], &traces, 100));
         assert_ne!(base, matrix_id(&[series("x", "bimodal")], &traces, 100));
         assert_ne!(base, matrix_id(&[series("x", "gshare")], &traces, 200));
         assert_ne!(
             base,
-            matrix_id(&[series("x", "gshare")], &["A".to_owned()], 100)
+            matrix_id(&[series("x", "gshare")], &[column("A", 10)], 100)
         );
+        let longer = [column("A", 10), column("B", 21)];
+        assert_ne!(base, matrix_id(&[series("x", "gshare")], &longer, 100));
         // Field boundaries are length-prefixed: ["ab","c"] != ["a","bc"].
         assert_ne!(
-            matrix_id(&[], &["ab".to_owned(), "c".to_owned()], 0),
-            matrix_id(&[], &["a".to_owned(), "bc".to_owned()], 0)
+            matrix_id(&[], &[column("ab", 0), column("c", 0)], 0),
+            matrix_id(&[], &[column("a", 0), column("bc", 0)], 0)
         );
         assert_eq!(base, matrix_id(&[series("x", "gshare")], &traces, 100));
     }
@@ -796,10 +783,10 @@ mod tests {
             predictor_name: "gshare".into(),
             storage_bytes: 0,
         };
-        let traces = ["A".to_owned(), "B".to_owned()];
+        let traces = [column("A", 1000), column("B", 2000)];
         assert_eq!(
             matrix_id(&[series], &traces, 100_000),
-            0x454e_b866_cede_1e86
+            0x8a19_54a9_8475_d090
         );
     }
 }

@@ -61,7 +61,7 @@ pub use simulate::{
 pub use storage::StorageBreakdown;
 pub use tune::{
     tune, Candidate, Dimension, FrontierPoint, RungOutcome, SearchSpace, TuneError, TuneOptions,
-    TuneReport, FRONTIER_SCHEMA, TUNE_MAGIC,
+    TuneReport, FRONTIER_SCHEMA,
 };
 pub use wire::{
     ErrorCode, Frame, FrameKind, FrameReader, PredictorInfo, SessionStats, WireError, MAX_FRAME,

@@ -46,9 +46,7 @@ use std::sync::{Arc, Mutex};
 
 use bfbp_trace::source::TraceChunk;
 
-use crate::ckpt::{
-    quarantine_ckpt, read_ckpt_file, write_ckpt_file, StateReader, StateWriter, CKPT_MAGIC,
-};
+use crate::ckpt::{quarantine_ckpt, read_ckpt_file, write_ckpt_file, StateReader, StateWriter};
 use crate::obs::{Event, EventJournal, Metrics};
 use crate::predictor::{ConditionalPredictor, PredictorCaps};
 use crate::registry::{PredictorRegistry, PredictorSpec};
@@ -57,6 +55,9 @@ use crate::wire::{
     encode_outcome_batch, encode_predict_batch, encode_predict_reply, CondBatch, ErrorCode, Frame,
     FrameKind, FrameReader, PredictorInfo, SessionStats, WireError, WIRE_PROTOCOL,
 };
+
+/// Server identification sent in `HELLO_ACK`.
+const SERVER_NAME: &str = "bfbp-serve";
 
 /// Knobs for [`Server::bind`].
 #[derive(Debug, Clone)]
@@ -72,8 +73,6 @@ pub struct ServeOptions {
     pub checkpoint_dir: Option<PathBuf>,
     /// Write a `bfbp-events/1` journal of serve lifecycle events here.
     pub events: Option<PathBuf>,
-    /// Server identification sent in `HELLO_ACK`.
-    pub server: String,
 }
 
 impl Default for ServeOptions {
@@ -83,7 +82,6 @@ impl Default for ServeOptions {
             checkpoint_every: 0,
             checkpoint_dir: None,
             events: None,
-            server: "bfbp-serve".to_owned(),
         }
     }
 }
@@ -233,7 +231,7 @@ impl SessionManager {
         w.u64(session.stats.conditional_branches);
         w.u64(session.stats.mispredictions);
         w.bytes(&state.into_bytes());
-        write_ckpt_file(&path, CKPT_MAGIC, &w.into_bytes())?;
+        write_ckpt_file(&path, &w.into_bytes())?;
         self.counters.ckpt_writes.fetch_add(1, Ordering::Relaxed);
         self.emit(
             Event::new("session_ckpt")
@@ -332,7 +330,7 @@ impl SessionManager {
     }
 
     fn restore_one(&self, path: &std::path::Path) -> Result<u64, String> {
-        let payload = read_ckpt_file(path, CKPT_MAGIC).map_err(|e| e.to_string())?;
+        let payload = read_ckpt_file(path).map_err(|e| e.to_string())?;
         let mut r = StateReader::new(&payload);
         let mut decode = || -> Result<(u64, String, SessionStats, Vec<u8>), String> {
             let id = r.u64().map_err(|e| e.to_string())?;
@@ -873,7 +871,7 @@ impl<'s> Connection<'s> {
                 }
                 Flow::Continue(self.send_frame(&Frame::HelloAck {
                     protocol: WIRE_PROTOCOL.to_owned(),
-                    server: self.server.options.server.clone(),
+                    server: SERVER_NAME.to_owned(),
                     predictors: self.server.catalogue.clone(),
                 }))
             }

@@ -19,10 +19,10 @@
 //!    [`engine::sweep_inputs`], so retries, timeouts, checkpointing,
 //!    and the `bfbp-events/1` journal all apply unchanged. Traces come
 //!    from [`TuneOptions::cache`].
-//! 4. Progress is journaled crash-consistently (`bfbp-tune/1`, the same
-//!    atomic tmp+rename + FNV-1a trailer discipline as `bfbp-ckpt/1`),
-//!    so a killed run resumed with [`TuneOptions::resume`] re-enters
-//!    the exact rung it died in without re-simulating completed rungs.
+//! 4. With [`TuneOptions::state`] set, each rung's sweep journal is the
+//!    only resume record: a killed run resumed with
+//!    [`TuneOptions::resume`] restores every finished job from them, and
+//!    the engine refuses a journal of other work by its matrix id.
 //! 5. The result is a deterministic `bfbp-frontier/1` JSON report: the
 //!    Pareto-optimal configurations of MPKI vs. total storage bits,
 //!    each with its component breakdown and per-rung provenance. The
@@ -52,9 +52,7 @@ use bfbp_trace::cache::TraceCache;
 use bfbp_trace::rng::Xoshiro256;
 use bfbp_trace::synth::suite::TraceSpec;
 
-use crate::ckpt::{
-    fnv1a, read_ckpt_file, write_atomic, write_ckpt_file, CodecError, StateReader, StateWriter,
-};
+use crate::ckpt::write_atomic;
 use crate::engine::{self, SweepError, SweepOptions, TraceInput};
 use crate::json::{array, json_f64, json_string, lines, Object};
 use crate::obs::{Event, EventJournal};
@@ -66,8 +64,6 @@ use crate::JobStatus;
 
 /// Schema identifier of the Pareto frontier report.
 pub const FRONTIER_SCHEMA: &str = "bfbp-frontier/1";
-/// Magic prefix of the crash-consistent tuner state file.
-pub const TUNE_MAGIC: &[u8; 12] = b"bfbp-tune/1\n";
 /// Minimum records per trace at any rung — mirrors the floor the suite
 /// runner applies to scaled trace lengths, below which MPKI is noise.
 pub const MIN_RUNG_RECORDS: usize = 1000;
@@ -215,7 +211,7 @@ impl SearchSpace {
     }
 
     /// The canonical rendering of the space — parseable back with
-    /// [`SearchSpace::parse`] and part of the tuner-state fingerprint.
+    /// [`SearchSpace::parse`], and the frontier report's `space`.
     pub fn render(&self) -> String {
         if self.dims.is_empty() {
             return self.predictor.clone();
@@ -311,7 +307,7 @@ impl SearchSpace {
     /// Deterministic seeded sampling of up to `n` distinct points.
     /// Falls back to the full grid when `n` covers it. The same seed
     /// always yields the same candidates in the same order, which is
-    /// what makes the tuner journal resumable without storing them.
+    /// what makes the rung journals resumable without storing them.
     pub fn sample(&self, seed: u64, n: usize) -> Vec<Params> {
         if n == 0 || n as u64 >= self.cardinality() {
             return self.grid();
@@ -406,10 +402,9 @@ pub enum TuneError {
         /// Points whose predictor failed to build.
         rejected: usize,
     },
-    /// A rung's sweep failed to start.
+    /// A rung's sweep failed to start, or its journal is another run's.
     Sweep(SweepError),
-    /// The `bfbp-tune/1` state file could not be read, written, or does
-    /// not belong to this (space, budget, suite) fingerprint.
+    /// Resume was requested without a [`TuneOptions::state`] path.
     State {
         /// Human-readable reason.
         reason: String,
@@ -473,19 +468,20 @@ pub struct TuneOptions {
     pub seed: u64,
     /// Trace-length scale factor (1.0 = the suite's default lengths).
     pub scale: f64,
-    /// Path of the crash-consistent `bfbp-tune/1` state file; `None`
-    /// disables journaling (and resume).
+    /// Names the rung journals ([`rung_journal`]); `None` disables
+    /// journaling (and resume). A fresh run removes every journal of its
+    /// schedule before rung 0.
     pub state: Option<PathBuf>,
-    /// Re-enter an interrupted run from [`TuneOptions::state`]: rungs
-    /// recorded there are not re-simulated. The state must match this
-    /// run's (space, budget, schedule, suite) fingerprint exactly.
+    /// Re-enter an interrupted run: each rung whose journal exists
+    /// restores its finished jobs from it and simulates only the rest.
+    /// The engine refuses a journal whose matrix (candidates and trace
+    /// lengths) differs from the rung's.
     pub resume: bool,
     /// Engine options every rung's sweep inherits (threads, retries,
-    /// timeouts, events journal, ...). Per-rung job journals are derived
-    /// from [`TuneOptions::state`] — the `journal` / `resume_from`
-    /// fields here are overridden per rung, so a killed run does not
-    /// even re-simulate completed jobs of the rung it died in — and
-    /// `metrics` is off per rung: the tuner writes no metrics document.
+    /// timeouts, events journal, ...). The `journal` / `resume_from`
+    /// fields here are overridden per rung by the rung journals of
+    /// [`TuneOptions::state`], and `metrics` is off per rung: the tuner
+    /// writes no metrics document.
     pub sweep: SweepOptions,
     /// Where every rung's truncated traces are served from; the default
     /// generates them without disk I/O.
@@ -545,7 +541,7 @@ pub struct RungOutcome {
     /// this rung, in candidate order. Failed candidates score
     /// `f64::INFINITY` and never survive.
     pub scores: Vec<(usize, f64)>,
-    /// Whether the rung was restored from the `bfbp-tune/1` state
+    /// Whether every job of the rung was restored from its journal
     /// instead of simulated.
     pub restored: bool,
 }
@@ -624,8 +620,8 @@ impl TuneReport {
         self.outcomes.iter().map(|o| o.scores.len()).sum()
     }
 
-    /// Trace records actually simulated by this process (resumed rungs
-    /// excluded) — the denominator of configs-per-second throughput.
+    /// Trace records actually simulated by this process (wholly restored
+    /// rungs excluded) — the denominator of configs-per-second throughput.
     pub fn simulated_records(&self) -> u64 {
         self.simulated_records
     }
@@ -718,15 +714,16 @@ impl TuneReport {
 ///
 /// `budget_bits` is the hardware storage budget: candidates whose
 /// [`StorageBreakdown::total_bits`] exceeds it are rejected before any
-/// simulation. `traces` is the evaluation suite (order defines the
-/// job matrix and is part of the state fingerprint).
+/// simulation. `traces` is the evaluation suite (order defines each
+/// rung's job matrix).
 ///
 /// # Errors
 ///
 /// Returns [`TuneError::Space`] when the space does not validate,
 /// [`TuneError::NoFeasible`] when no candidate fits the budget,
-/// [`TuneError::State`] on a corrupt or mismatched state file, and
-/// [`TuneError::Sweep`] when a rung cannot start.
+/// [`TuneError::State`] when resume is requested without a state path,
+/// and [`TuneError::Sweep`] when a rung cannot start or its journal
+/// belongs to another run.
 pub fn tune(
     registry: &PredictorRegistry,
     space: &SearchSpace,
@@ -746,8 +743,8 @@ pub fn tune(
     }
     space.validate(registry)?;
 
-    // Candidate generation is deterministic, so resumed runs recompute
-    // the exact candidate list instead of trusting state-file copies.
+    // Candidate generation is deterministic, so a resumed run recomputes
+    // the exact candidate list, and with it every rung's matrix id.
     let declared_params = space.sample(options.seed, options.samples);
     let declared = declared_params.len();
     let mut candidates = Vec::new();
@@ -782,7 +779,6 @@ pub fn tune(
         .iter()
         .map(|t| scaled_len(t, options.scale))
         .collect();
-    let tune_id = fingerprint(space, budget_bits, options, traces, &base_lens);
 
     let events = options
         .sweep
@@ -798,21 +794,20 @@ pub fn tune(
                 .num("rungs", options.rungs as u64)
                 .num("declared", declared as u64)
                 .num("feasible", candidates.len() as u64)
-                .num("over_budget", over_budget as u64)
-                .num("tune_id", tune_id),
+                .num("over_budget", over_budget as u64),
         );
     }
-
-    // Restore completed rungs from the crash-consistent state file.
-    let mut restored: Vec<RungOutcome> = Vec::new();
-    if options.resume {
-        let path = options
-            .state
-            .as_ref()
-            .ok_or_else(|| TuneError::state("resume requested but no state path given"))?;
-        if path.exists() {
-            restored = read_tune_state(path, tune_id)?;
+    match (&options.state, options.resume) {
+        (None, true) => return Err(TuneError::state("resume requested but no state path given")),
+        // A fresh run starts every rung over. Left behind, a later
+        // rung's journal from an older run would be picked up by a
+        // resume of this one, and refused half-way through it.
+        (Some(state), false) => {
+            for rung in 0..options.rungs {
+                let _ = std::fs::remove_file(rung_journal(state, rung));
+            }
         }
+        _ => {}
     }
 
     let mut outcomes: Vec<RungOutcome> = Vec::new();
@@ -824,88 +819,67 @@ pub fn tune(
         let divisor = (options.eta as u64)
             .saturating_pow((options.rungs - 1 - rung) as u32)
             .max(1);
-        let outcome = if let Some(prior) = restored.get(rung) {
-            if prior.divisor != divisor {
-                return Err(TuneError::state(format!(
-                    "state rung {rung} ran divisor {} but this schedule wants {divisor}",
-                    prior.divisor
-                )));
+        if let Some(journal) = &events {
+            journal.emit(
+                Event::new("tune_rung_open")
+                    .num("rung", rung as u64)
+                    .num("divisor", divisor)
+                    .num("candidates", survivors.len() as u64),
+            );
+        }
+        let specs: Vec<PredictorSpec> = survivors
+            .iter()
+            .map(|&i| spec_for(space.predictor(), by_index[&i]))
+            .collect();
+        let inputs: Vec<TraceInput> = traces
+            .iter()
+            .zip(&base_lens)
+            .map(|(spec, &full)| {
+                let records = rung_records(full, divisor);
+                let (trace, _) = options.cache.fetch(spec, records);
+                TraceInput::ready(trace)
+            })
+            .collect();
+        let mut rung_options = options.sweep.clone();
+        rung_options.journal = None;
+        rung_options.resume_from = None;
+        rung_options.metrics = false;
+        if let Some(state) = &options.state {
+            // A kill mid-rung resumes the rung's finished jobs too.
+            let journal = rung_journal(state, rung);
+            if options.resume && journal.exists() {
+                rung_options.resume_from = Some(journal.clone());
             }
-            let mut restored_outcome = prior.clone();
-            restored_outcome.restored = true;
-            restored_outcome
-        } else {
-            if let Some(journal) = &events {
-                journal.emit(
-                    Event::new("tune_rung_open")
-                        .num("rung", rung as u64)
-                        .num("divisor", divisor)
-                        .num("candidates", survivors.len() as u64),
-                );
-            }
-            let specs: Vec<PredictorSpec> = survivors
-                .iter()
-                .map(|&i| spec_for(space.predictor(), by_index[&i]))
-                .collect();
-            let inputs: Vec<TraceInput> = traces
-                .iter()
-                .zip(&base_lens)
-                .map(|(spec, &full)| {
-                    let records = rung_records(full, divisor);
-                    let (trace, _) = options.cache.fetch(spec, records);
-                    TraceInput::ready(trace)
-                })
-                .collect();
+            rung_options.journal = Some(journal);
+        }
+        let report = engine::sweep_inputs(registry, &specs, &inputs, &rung_options)?;
+        let summary = report.summary();
+        let restored = summary.resumed == summary.jobs;
+        if !restored {
             simulated_records +=
                 inputs.iter().map(TraceInput::n_records).sum::<u64>() * survivors.len() as u64;
-            let mut rung_options = options.sweep.clone();
-            rung_options.journal = None;
-            rung_options.resume_from = None;
-            rung_options.metrics = false;
-            if let Some(state) = &options.state {
-                // Per-rung job journal beside the tuner state: a kill
-                // mid-rung resumes the rung's completed jobs too. The
-                // fingerprint in the name keeps stale runs out.
-                let journal = state.with_extension(format!("rung{rung}-{tune_id:016x}.journal"));
-                if options.resume && journal.exists() {
-                    rung_options.resume_from = Some(journal.clone());
-                }
-                rung_options.journal = Some(journal);
-            }
-            let report = engine::sweep_inputs(registry, &specs, &inputs, &rung_options)?;
-            let scores = survivors
-                .iter()
-                .map(|&i| (i, score(&report, &by_index[&i].label())))
-                .collect();
-            let outcome = RungOutcome {
-                rung,
-                divisor,
-                scores,
-                restored: false,
-            };
-            if let Some(journal) = &events {
-                let best = best_score(&outcome.scores);
-                journal.emit(
-                    Event::new("tune_rung_close")
-                        .num("rung", rung as u64)
-                        .num("divisor", divisor)
-                        .num("evaluated", outcome.scores.len() as u64)
-                        .float("best_mpki", best),
-                );
-            }
-            outcome
-        };
-        outcomes.push(outcome);
-        // Journal after every rung: the state file always holds the
-        // exact set of completed rungs.
-        if let Some(path) = &options.state {
-            write_tune_state(path, tune_id, &outcomes)
-                .map_err(|e| TuneError::state(format!("{}: {e}", path.display())))?;
-            // The rung's job journal has served its purpose.
-            let journal = path.with_extension(format!("rung{rung}-{tune_id:016x}.journal"));
-            let _ = std::fs::remove_file(journal);
         }
-        survivors = halve(&outcomes[rung].scores, options.eta);
+        let scores = survivors
+            .iter()
+            .map(|&i| (i, score(&report, &by_index[&i].label())))
+            .collect();
+        let outcome = RungOutcome {
+            rung,
+            divisor,
+            scores,
+            restored,
+        };
+        if let Some(journal) = &events {
+            journal.emit(
+                Event::new("tune_rung_close")
+                    .num("rung", rung as u64)
+                    .num("divisor", divisor)
+                    .num("evaluated", outcome.scores.len() as u64)
+                    .float("best_mpki", best_score(&outcome.scores)),
+            );
+        }
+        survivors = halve(&outcome.scores, options.eta);
+        outcomes.push(outcome);
         if survivors.is_empty() {
             break;
         }
@@ -942,6 +916,12 @@ pub fn tune(
         simulated_records,
         wall: started.elapsed(),
     })
+}
+
+/// Rung `rung`'s sweep journal: the [`TuneOptions::state`] path with its
+/// extension replaced by `rung<rung>.journal`.
+pub fn rung_journal(state: &Path, rung: usize) -> PathBuf {
+    state.with_extension(format!("rung{rung}.journal"))
 }
 
 /// Records per trace at a rung: the full scaled length divided by the
@@ -1035,96 +1015,6 @@ fn build_frontier(
         }
     }
     frontier
-}
-
-/// The run fingerprint guarding state-file resume: everything that
-/// shapes the candidate list and schedule.
-fn fingerprint(
-    space: &SearchSpace,
-    budget_bits: u64,
-    options: &TuneOptions,
-    traces: &[TraceSpec],
-    base_lens: &[usize],
-) -> u64 {
-    let mut text = String::new();
-    text.push_str(&space.render());
-    text.push('\x1f');
-    text.push_str(&format!(
-        "{budget_bits},{},{},{},{},{}",
-        options.eta,
-        options.rungs,
-        options.samples,
-        options.seed,
-        options.scale.to_bits()
-    ));
-    for (spec, len) in traces.iter().zip(base_lens) {
-        text.push('\x1f');
-        text.push_str(spec.name());
-        text.push(':');
-        text.push_str(&len.to_string());
-    }
-    fnv1a(text.as_bytes())
-}
-
-/// Atomically writes the `bfbp-tune/1` state: the checkpoint container
-/// ([`write_ckpt_file`]) under the tuner magic.
-fn write_tune_state(path: &Path, tune_id: u64, outcomes: &[RungOutcome]) -> std::io::Result<()> {
-    let mut w = StateWriter::new();
-    w.u64(tune_id);
-    w.usize(outcomes.len());
-    for outcome in outcomes {
-        w.usize(outcome.rung);
-        w.u64(outcome.divisor);
-        w.usize(outcome.scores.len());
-        for (index, mpki) in &outcome.scores {
-            w.usize(*index);
-            w.u64(mpki.to_bits());
-        }
-    }
-    write_ckpt_file(path, TUNE_MAGIC, &w.into_bytes())
-}
-
-/// Reads and validates a `bfbp-tune/1` state file written by
-/// [`write_tune_state`]; rejects wrong magic, torn payloads, checksum
-/// mismatches, and fingerprints of other runs.
-fn read_tune_state(path: &Path, tune_id: u64) -> Result<Vec<RungOutcome>, TuneError> {
-    let payload = read_ckpt_file(path, TUNE_MAGIC)
-        .map_err(|e| TuneError::state(format!("{}: {e}", path.display())))?;
-    let mut r = StateReader::new(&payload);
-    let parse = |r: &mut StateReader<'_>| -> Result<(u64, Vec<RungOutcome>), CodecError> {
-        let stored_id = r.u64()?;
-        let n_rungs = r.usize()?;
-        let mut outcomes = Vec::with_capacity(n_rungs.min(1024));
-        for _ in 0..n_rungs {
-            let rung = r.usize()?;
-            let divisor = r.u64()?;
-            let n_scores = r.usize()?;
-            let mut scores = Vec::with_capacity(n_scores.min(65_536));
-            for _ in 0..n_scores {
-                let index = r.usize()?;
-                let mpki = f64::from_bits(r.u64()?);
-                scores.push((index, mpki));
-            }
-            outcomes.push(RungOutcome {
-                rung,
-                divisor,
-                scores,
-                restored: true,
-            });
-        }
-        r.finish()?;
-        Ok((stored_id, outcomes))
-    };
-    let (stored_id, outcomes) =
-        parse(&mut r).map_err(|e| TuneError::state(format!("{}: {e}", path.display())))?;
-    if stored_id != tune_id {
-        return Err(TuneError::state(format!(
-            "{}: belongs to a different run (fingerprint {stored_id:016x}, \
-             this run is {tune_id:016x}) — delete it or drop --resume",
-            path.display()
-        )));
-    }
-    Ok(outcomes)
 }
 
 #[cfg(test)]
@@ -1231,36 +1121,6 @@ mod tests {
         assert_eq!(rung_records(100_000, 1), 100_000);
         assert_eq!(rung_records(2_000, 16), MIN_RUNG_RECORDS);
         assert_eq!(rung_records(500, 4), 500);
-    }
-
-    #[test]
-    fn state_file_roundtrip_and_fingerprint_guard() {
-        let dir = std::env::temp_dir().join(format!("bfbp-tune-test-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("tune.state");
-        let outcomes = vec![RungOutcome {
-            rung: 0,
-            divisor: 2,
-            scores: vec![(0, 4.25), (3, f64::INFINITY)],
-            restored: false,
-        }];
-        write_tune_state(&path, 0xABCD, &outcomes).unwrap();
-        // The file's bytes are pinned: the container must not drift.
-        assert_eq!(fnv1a(&std::fs::read(&path).unwrap()), 0x035c_735e_8fba_7387);
-        let restored = read_tune_state(&path, 0xABCD).unwrap();
-        assert_eq!(restored.len(), 1);
-        assert_eq!(restored[0].divisor, 2);
-        assert_eq!(restored[0].scores[0], (0, 4.25));
-        assert!(restored[0].scores[1].1.is_infinite());
-        assert!(restored[0].restored);
-        // Wrong fingerprint is refused, not silently reused.
-        assert!(read_tune_state(&path, 0x1234).is_err());
-        // A corrupt byte is detected by the FNV trailer.
-        let mut bytes = std::fs::read(&path).unwrap();
-        bytes[TUNE_MAGIC.len() + 2] ^= 0xFF;
-        std::fs::write(&path, &bytes).unwrap();
-        assert!(read_tune_state(&path, 0xABCD).is_err());
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

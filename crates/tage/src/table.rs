@@ -100,12 +100,6 @@ impl TaggedTable {
         (e.tag == tag).then_some(e)
     }
 
-    /// Returns the entry at `index` unconditionally (for update paths
-    /// that already verified the tag).
-    pub fn entry_mut(&mut self, index: usize) -> &mut TaggedEntry {
-        &mut self.entries[index]
-    }
-
     /// Immutable entry access.
     pub fn entry(&self, index: usize) -> &TaggedEntry {
         &self.entries[index]
@@ -236,7 +230,7 @@ mod tests {
     fn reset_useful_clears_requested_bit() {
         let mut t = TaggedTable::new(2, 8, 10);
         for i in 0..4 {
-            t.entry_mut(i).useful = 3;
+            t.entries[i].useful = 3;
         }
         t.reset_useful_bit(0);
         assert!(t.entries.iter().all(|e| e.useful == 2));

@@ -94,11 +94,6 @@ impl TraceCache {
         Self::at(default_dir())
     }
 
-    /// Whether fetches may be served from (and stored to) disk.
-    pub fn is_enabled(&self) -> bool {
-        self.dir.is_some()
-    }
-
     /// The cache directory, if enabled.
     pub fn dir(&self) -> Option<&Path> {
         self.dir.as_deref()
@@ -268,7 +263,6 @@ mod tests {
     #[test]
     fn disabled_cache_always_bypasses() {
         let cache = TraceCache::disabled();
-        assert!(!cache.is_enabled());
         assert!(cache.dir().is_none());
         let spec = suite::find("FP1").unwrap();
         assert!(cache.entry_path(&spec, 1000).is_none());

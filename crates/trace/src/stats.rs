@@ -156,11 +156,6 @@ impl TraceMix {
         self.counts[kind as usize]
     }
 
-    /// Total records of all kinds.
-    pub fn total_branches(&self) -> u64 {
-        self.counts.iter().sum()
-    }
-
     /// Total instructions (branches plus non-branch gaps).
     pub fn instructions(&self) -> u64 {
         self.instructions
@@ -261,7 +256,6 @@ mod tests {
         assert_eq!(mix.count(BranchKind::Call), 1);
         assert_eq!(mix.count(BranchKind::Return), 1);
         assert_eq!(mix.count(BranchKind::Indirect), 0);
-        assert_eq!(mix.total_branches(), 3);
         assert_eq!(mix.instructions(), 16);
         assert!((mix.cond_per_kilo_inst() - 1000.0 / 16.0).abs() < 1e-9);
     }

@@ -280,7 +280,9 @@ fn watchdog_timeout_is_visible_in_the_event_journal() {
     );
 }
 
-/// A journal recorded for one matrix must refuse to resume another.
+/// A journal recorded for one matrix must refuse to resume another:
+/// other specs, or the same specs over the same traces at another
+/// trace scale.
 #[test]
 fn resume_rejects_a_journal_from_a_different_matrix() {
     let registry = bfbp::default_registry();
@@ -297,20 +299,32 @@ fn resume_rejects_a_journal_from_a_different_matrix() {
     .expect("first sweep");
 
     let specs_b = vec![PredictorSpec::new("gshare").labeled("other-label")];
-    let err = sweep(
+    let longer = SuiteRunner::from_specs(runner.specs().to_vec(), 0.05);
+    for (specs, runner) in [(&specs_b, &runner), (&specs_a, &longer)] {
+        let err = sweep(
+            &registry,
+            specs,
+            runner,
+            &SweepOptions::default().resuming(&journal),
+        )
+        .expect_err("mismatched matrix must be rejected");
+        assert!(
+            matches!(
+                err,
+                SweepError::Journal(JournalError::MatrixMismatch { .. })
+            ),
+            "{err}"
+        );
+    }
+    // The same matrix still resumes, every job restored.
+    let report = sweep(
         &registry,
-        &specs_b,
+        &specs_a,
         &runner,
         &SweepOptions::default().resuming(&journal),
     )
-    .expect_err("mismatched matrix must be rejected");
-    assert!(
-        matches!(
-            err,
-            SweepError::Journal(JournalError::MatrixMismatch { .. })
-        ),
-        "{err}"
-    );
+    .expect("same-matrix resume");
+    assert_eq!(report.summary().resumed, report.jobs().len());
 }
 
 /// A transient fault plus a retry budget must converge to a fully-ok

@@ -401,25 +401,6 @@ fn serve_session_file_is_pinned() {
     assert_eq!(pinned, (1166, 0x029f_09e1_c238_218f));
 }
 
-/// A `bfbp-tune/1` state file.
-#[test]
-fn tune_state_file_is_pinned() {
-    let registry = bfbp::default_registry();
-    let space = SearchSpace::parse("gshare:log-size=8..11").expect("space");
-    let traces = vec![suite::find("SPEC03").expect("SPEC03")];
-    let state = scratch("tune.state");
-    let mut options = TuneOptions {
-        eta: 2,
-        rungs: 2,
-        scale: 0.01,
-        state: Some(state.clone()),
-        ..TuneOptions::default()
-    };
-    options.sweep.threads = 1;
-    tune(&registry, &space, 8 << 20, &traces, &options).expect("tune");
-    assert_eq!(pin(&state), (188, 0x0a92_7a41_292b_62bb));
-}
-
 /// A `bfbp-journal/2` file holding every line kind.
 #[test]
 fn sweep_journal_file_is_pinned() {

@@ -1,14 +1,17 @@
 //! Integration tests for the budget-constrained autotuner: frontier
-//! determinism across thread counts, kill-at-rung-boundary `--resume`
-//! equivalence against an uninterrupted run, budget compliance of every
-//! frontier point, and the `bfbp-tune/1` state fingerprint guard.
+//! determinism across thread counts, kill-and-`--resume` equivalence
+//! against an uninterrupted run (at a rung boundary and mid-rung),
+//! budget compliance of every frontier point, and the rung journals'
+//! matrix guard.
 
 use std::fs;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use bfbp::sim::ckpt::{fnv1a, write_atomic, StateReader, StateWriter};
-use bfbp::sim::tune::{tune, SearchSpace, TuneError, TuneOptions, MAX_CANDIDATES, TUNE_MAGIC};
+use bfbp::sim::engine::SweepError;
+use bfbp::sim::fault::FaultPlan;
+use bfbp::sim::journal::JournalError;
+use bfbp::sim::tune::{rung_journal, tune, SearchSpace, TuneError, TuneOptions, MAX_CANDIDATES};
 use bfbp::trace::synth::suite::{self, TraceSpec};
 
 /// The committed tiny search space the acceptance criteria run on:
@@ -74,50 +77,12 @@ fn frontier_is_byte_identical_across_thread_counts() {
     );
 }
 
-/// Rewrites a complete `bfbp-tune/1` state file keeping only its first
-/// `keep` rungs — byte-exactly what a process killed at that rung
-/// boundary leaves behind (the state is rewritten atomically after
-/// every rung).
-fn truncate_state_to(path: &PathBuf, keep: usize) {
-    let bytes = fs::read(path).expect("read state");
-    assert!(bytes.starts_with(TUNE_MAGIC), "state magic");
-    let payload = &bytes[TUNE_MAGIC.len()..bytes.len() - 16];
-    let mut r = StateReader::new(payload);
-    let tune_id = r.u64().expect("tune id");
-    let n_rungs = r.usize().expect("rung count");
-    assert!(keep <= n_rungs, "cannot keep {keep} of {n_rungs} rungs");
-
-    let mut w = StateWriter::new();
-    w.u64(tune_id);
-    w.usize(keep);
-    for _ in 0..keep {
-        let rung = r.usize().expect("rung");
-        let divisor = r.u64().expect("divisor");
-        let n_scores = r.usize().expect("score count");
-        w.usize(rung);
-        w.u64(divisor);
-        w.usize(n_scores);
-        for _ in 0..n_scores {
-            w.usize(r.usize().expect("index"));
-            w.u64(r.u64().expect("mpki bits"));
-        }
-    }
-    let payload = w.into_bytes();
-    let mut out = Vec::with_capacity(TUNE_MAGIC.len() + payload.len() + 16);
-    out.extend_from_slice(TUNE_MAGIC);
-    out.extend_from_slice(&payload);
-    out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-    out.extend_from_slice(&fnv1a(&payload).to_le_bytes());
-    write_atomic(path, &out).expect("rewrite truncated state");
-}
-
-#[test]
-fn resume_at_rung_boundary_reproduces_uninterrupted_frontier() {
+/// A journaled tune of [`TINY_SPACE`] and the frontier of the same run
+/// uninterrupted and unjournaled, to compare resumes against.
+fn journaled_run(name: &str) -> (TuneOptions, String) {
     let registry = bfbp::default_registry();
     let space = SearchSpace::parse(TINY_SPACE).expect("tiny space parses");
     let traces = tiny_traces();
-
-    // Reference: uninterrupted, no state journaling at all.
     let reference = tune(
         &registry,
         &space,
@@ -127,39 +92,68 @@ fn resume_at_rung_boundary_reproduces_uninterrupted_frontier() {
     )
     .expect("reference tune");
 
-    // Journaled run: state must not perturb the search.
-    let state = scratch("tune.state");
     let mut journaled = tiny_options();
-    journaled.state = Some(state.clone());
+    journaled.state = Some(scratch(name));
     let full =
         tune(&registry, &space, OPEN_BUDGET_BITS, &traces, &journaled).expect("journaled tune");
     assert_eq!(
         reference.frontier_json(),
         full.frontier_json(),
-        "state journaling perturbed the frontier"
+        "journaling perturbed the frontier"
     );
+    (journaled, reference.frontier_json())
+}
 
-    // Kill at the rung-0/rung-1 boundary: the state file then carries
-    // exactly one completed rung. Resume must restore rung 0 without
-    // re-simulating it, re-run rung 1, and land on the same bytes.
-    truncate_state_to(&state, 1);
-    let mut resumed_options = journaled.clone();
-    resumed_options.resume = true;
-    let resumed = tune(
-        &registry,
-        &space,
+/// Resumes `options`' run and returns which rungs were restored whole,
+/// after checking its frontier against `reference`.
+fn resume(options: &TuneOptions, reference: &str) -> Vec<bool> {
+    let mut resumed = options.clone();
+    resumed.resume = true;
+    let report = tune(
+        &bfbp::default_registry(),
+        &SearchSpace::parse(TINY_SPACE).expect("tiny space parses"),
         OPEN_BUDGET_BITS,
-        &traces,
-        &resumed_options,
+        &tiny_traces(),
+        &resumed,
     )
     .expect("resumed tune");
-    assert!(resumed.outcomes()[0].restored, "rung 0 not restored");
-    assert!(!resumed.outcomes()[1].restored, "rung 1 must re-run");
     assert_eq!(
-        reference.frontier_json(),
-        resumed.frontier_json(),
+        report.frontier_json(),
+        reference,
         "resumed frontier differs from uninterrupted run"
     );
+    report.outcomes().iter().map(|o| o.restored).collect()
+}
+
+#[test]
+fn resume_at_rung_boundary_reproduces_uninterrupted_frontier() {
+    let (options, reference) = journaled_run("boundary.state");
+    let state = options.state.clone().expect("state path");
+
+    // Kill at the rung-0/rung-1 boundary: rung 1's journal was never
+    // written. Resume must restore rung 0 from its journal, re-run
+    // rung 1, and land on the same bytes.
+    fs::remove_file(rung_journal(&state, 1)).expect("rung 1 journal kept");
+    assert_eq!(resume(&options, &reference), [true, false]);
+
+    // Resuming the finished run restores every rung.
+    assert_eq!(resume(&options, &reference), [true, true]);
+}
+
+#[test]
+fn resume_mid_rung_reproduces_uninterrupted_frontier() {
+    let (options, reference) = journaled_run("mid-rung.state");
+    let state = options.state.clone().expect("state path");
+
+    // Kill in the middle of rung 1: its journal holds the header and
+    // one finished job. Resume restores rung 0 whole and that one job,
+    // simulates the rest of rung 1, and lands on the same bytes.
+    let journal = rung_journal(&state, 1);
+    let text = fs::read_to_string(&journal).expect("rung 1 journal kept");
+    let kept: Vec<&str> = text.lines().take(2).collect();
+    assert!(kept[1].starts_with("ok "), "{text}");
+    fs::write(&journal, kept.join("\n") + "\n").expect("truncate rung 1 journal");
+    assert_eq!(resume(&options, &reference), [true, false]);
 }
 
 #[test]
@@ -200,22 +194,49 @@ fn state_from_a_different_run_is_rejected_on_resume() {
     let space = SearchSpace::parse(TINY_SPACE).expect("tiny space parses");
     let traces = tiny_traces();
 
-    let state = scratch("mismatch.state");
     let mut writer = tiny_options();
-    writer.state = Some(state.clone());
+    writer.state = Some(scratch("mismatch.state"));
     tune(&registry, &space, OPEN_BUDGET_BITS, &traces, &writer).expect("seeding tune");
 
-    // Same state file, different search seed: the fingerprint no longer
-    // matches, so resuming must fail loudly instead of silently mixing
-    // two runs' scores.
+    // Same rung journals, another trace scale: every rung's trace
+    // lengths differ, so resuming must fail loudly instead of silently
+    // mixing two runs' scores.
     let mut other = writer.clone();
     other.resume = true;
-    other.seed ^= 0xDEAD_BEEF;
+    other.scale *= 1.5;
     match tune(&registry, &space, OPEN_BUDGET_BITS, &traces, &other) {
-        Err(TuneError::State { .. }) => {}
-        Ok(_) => panic!("mismatched state accepted"),
-        Err(e) => panic!("expected a state error, got {e}"),
+        Err(TuneError::Sweep(SweepError::Journal(JournalError::MatrixMismatch { .. }))) => {}
+        Ok(_) => panic!("a journal of another scale was resumed"),
+        Err(e) => panic!("expected a journal matrix mismatch, got {e}"),
     }
+}
+
+#[test]
+fn a_fresh_run_removes_older_rung_journals() {
+    let registry = bfbp::default_registry();
+    let space = SearchSpace::parse(TINY_SPACE).expect("tiny space parses");
+    let traces = tiny_traces();
+
+    let mut options = tiny_options();
+    let state = scratch("fresh.state");
+    options.state = Some(state.clone());
+    tune(&registry, &space, OPEN_BUDGET_BITS, &traces, &options).expect("first tune");
+    assert!(rung_journal(&state, 1).exists(), "rung journals are kept");
+
+    // A fresh run whose every rung-0 job panics stops after rung 0: no
+    // candidate survives it. The first run's rung-1 journal must not
+    // outlive the start of this run, or a resume of this run would
+    // pick it up.
+    let jobs = space.cardinality() as usize * traces.len();
+    let plan = (0..jobs).fold(FaultPlan::new(), FaultPlan::panic_at);
+    options.sweep = options.sweep.with_fault_plan(plan);
+    let report = tune(&registry, &space, OPEN_BUDGET_BITS, &traces, &options).expect("fresh tune");
+    assert_eq!(report.outcomes().len(), 1, "the run stops after rung 0");
+    assert!(rung_journal(&state, 0).exists(), "rung 0 journaled afresh");
+    assert!(
+        !rung_journal(&state, 1).exists(),
+        "an older run's rung-1 journal survived a fresh start"
+    );
 }
 
 #[test]
