@@ -954,12 +954,9 @@ impl SweepContext<'_> {
                 trace.len()
             ));
         }
-        if !predictor.capabilities().checkpointable {
+        let Some(restorable) = predictor.checkpointing() else {
             return Err("predictor has no checkpoint capability".to_owned());
-        }
-        let restorable = predictor
-            .checkpointing()
-            .expect("capability descriptor said checkpointable");
+        };
         let mut reader = StateReader::new(&loaded.sim.predictor);
         restorable
             .load_state(&mut reader)
@@ -1479,7 +1476,7 @@ pub fn sweep_inputs(
     // Resume: restore completed jobs recorded for this exact matrix.
     let mut restored: BTreeMap<usize, JobOutcome> = BTreeMap::new();
     if let Some(path) = &options.resume_from {
-        let loaded = Journal::load(path, Some(matrix))?;
+        let loaded = Journal::load(path, matrix)?;
         restored = loaded.completed();
         restored.retain(|job, _| *job < n_jobs);
     }

@@ -4,8 +4,9 @@
 //! The observability layer writes its documents and event lines through
 //! [`crate::json`]; this module reads them back with the same module's
 //! parser. It holds a `bfbp-events/1` journal reader ([`parse_events`] /
-//! [`read_events`]) with the same torn-final-line tolerance as the
-//! checkpoint journal, and a [`chrome_trace`] exporter that turns any
+//! [`read_events`]), which reads JSON lines through
+//! [`crate::json::parse_lines`] like the sweep journal and so shares its
+//! one torn-final-line rule, and a [`chrome_trace`] exporter that turns any
 //! events journal into a Chrome Trace Format document loadable in
 //! `chrome://tracing` or Perfetto.
 //!
@@ -16,9 +17,11 @@
 use std::fmt;
 use std::path::Path;
 
-use crate::json::{lines, JsonError, Object};
-// This module's own import, made `pub` because perfbench imports these
-// two from here; private once perfbench imports them from `crate::json`.
+use crate::json::{lines, parse_lines, Object};
+// Made `pub` because perfbench imports these two from here. `JsonValue`
+// is also this module's own import (`parse_json` only its tests'), so
+// once perfbench imports both from `crate::json` this line becomes a
+// private `use` of `JsonValue`.
 pub use crate::json::{parse_json, JsonValue};
 
 /// One parsed `bfbp-events/1` line: the event kind, its timestamp, and
@@ -74,57 +77,31 @@ impl fmt::Display for EventsError {
 
 impl std::error::Error for EventsError {}
 
-/// Parses a `bfbp-events/1` journal text into its event lines.
-///
-/// A malformed **final** line is tolerated and dropped — a crashed
-/// writer loses at most the line it was mid-append on, the same model as
-/// the checkpoint journal. A malformed earlier line is a hard error
-/// (something other than a torn tail corrupted the file). Unknown event
-/// kinds and unknown keys pass through untouched.
+/// Parses a `bfbp-events/1` journal text into its event lines, through
+/// [`parse_lines`]: a malformed **final** line is a write torn by a crash
+/// and is dropped, and a malformed earlier line is a hard error (something
+/// other than a torn tail corrupted the file). Unknown event kinds and
+/// unknown keys pass through untouched.
 ///
 /// # Errors
 ///
 /// [`EventsError::Line`] for a malformed non-final line.
-pub fn parse_events(text: &str) -> Result<Vec<ParsedEvent>, EventsError> {
-    let lines: Vec<&str> = text.lines().collect();
-    let last = lines.len().saturating_sub(1);
-    let mut events = Vec::with_capacity(lines.len());
-    for (i, line) in lines.iter().enumerate() {
-        if line.trim().is_empty() {
-            continue;
+pub fn parse_events(text: impl AsRef<[u8]>) -> Result<Vec<ParsedEvent>, EventsError> {
+    parse_lines(text.as_ref(), false, |_, fields| {
+        let ev = fields
+            .get("ev")
+            .and_then(JsonValue::as_str)
+            .map(str::to_owned);
+        let t_us = fields.get("t_us").and_then(JsonValue::as_u64);
+        match (ev, t_us) {
+            (Some(ev), Some(t_us)) => Ok(ParsedEvent { ev, t_us, fields }),
+            _ => Err("missing \"ev\" or \"t_us\"".to_owned()),
         }
-        let parsed = parse_json(line).and_then(|value| {
-            let ev = value
-                .get("ev")
-                .and_then(JsonValue::as_str)
-                .map(str::to_owned);
-            let t_us = value.get("t_us").and_then(JsonValue::as_u64);
-            match (ev, t_us) {
-                (Some(ev), Some(t_us)) => Ok(ParsedEvent {
-                    ev,
-                    t_us,
-                    fields: value,
-                }),
-                _ => Err(JsonError {
-                    offset: 0,
-                    reason: "missing \"ev\" or \"t_us\"",
-                }),
-            }
-        });
-        match parsed {
-            Ok(event) => events.push(event),
-            // Only the LAST line may be torn; anything earlier is
-            // corruption, not a crash artifact.
-            Err(_) if i == last => break,
-            Err(e) => {
-                return Err(EventsError::Line {
-                    line: i + 1,
-                    reason: e.to_string(),
-                })
-            }
-        }
-    }
-    Ok(events)
+    })
+    .map_err(|e| EventsError::Line {
+        line: e.line,
+        reason: e.reason,
+    })
 }
 
 /// [`parse_events`] over the file at `path`.
@@ -134,9 +111,8 @@ pub fn parse_events(text: &str) -> Result<Vec<ParsedEvent>, EventsError> {
 /// [`EventsError::Io`] when the file cannot be read, otherwise as
 /// [`parse_events`].
 pub fn read_events(path: impl AsRef<Path>) -> Result<Vec<ParsedEvent>, EventsError> {
-    let text =
-        std::fs::read_to_string(path.as_ref()).map_err(|e| EventsError::Io(e.to_string()))?;
-    parse_events(&text)
+    let text = std::fs::read(path.as_ref()).map_err(|e| EventsError::Io(e.to_string()))?;
+    parse_events(text)
 }
 
 /// The synthetic Chrome-trace process id every exported event carries

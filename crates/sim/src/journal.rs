@@ -2,28 +2,35 @@
 //! job finishes, so an interrupted or partially-failed campaign can be
 //! resumed without redoing finished work.
 //!
-//! The format is line-oriented plain text (one record per line, fields
-//! `%`-escaped), deliberately not JSON: it must be appendable from
-//! concurrent workers, parseable with zero dependencies, and robust to a
-//! truncated final line (a crash mid-append loses at most that line —
-//! every earlier record stays usable).
+//! The format, `bfbp-journal/3`, is JSON lines: a header, then one object
+//! per finished job or mid-job checkpoint, each rendered by
+//! [`crate::json::Object`] and appended in one write, and read back by
+//! [`crate::json::parse_lines`]. Concurrent workers append whole lines
+//! under a lock, and a crash mid-append tears at most the final line,
+//! which the reader drops; every earlier line stays usable.
 //!
 //! ```text
-//! bfbp-journal/2 matrix=<16-hex FNV of the job matrix> jobs=<n>
-//! ok <job> attempts=<n> wall_us=<n> trace=<esc> predictor=<esc> cond=<n> misp=<n> insts=<n> intervals=<i:c:m,...|->
-//! failed <job> attempts=<n> error=<esc>
-//! timed_out <job> attempts=<n>
-//! killed <job> attempts=<n>
-//! skipped <job>
-//! ckpt <job> records=<n> file=<esc>
+//! {"schema": "bfbp-journal/3", "matrix": "8a1954a98475d090", "jobs": 80}
+//! {"job": 0, "ckpt": {"records": 8192, "file": "ckpts/job-0.ckpt"}}
+//! {"job": 0, "status": "ok", "attempts": 1, "wall_us": 8946, "trace": "SPEC00", "predictor": "gshare-16h", "cond": 3000, "misp": 191, "insts": 18439, "intervals": [[18439, 3000, 191]]}
+//! {"job": 1, "status": "failed", "attempts": 3, "error": "panic: boom"}
+//! {"job": 2, "status": "timed_out", "attempts": 1}
+//! {"job": 3, "status": "killed", "attempts": 1}
+//! {"job": 4, "status": "skipped", "attempts": 0}
 //! ```
 //!
-//! The `matrix` field ([`matrix_id`]) fingerprints the (spec × trace ×
-//! interval) matrix, trace lengths included; [`Journal::load`] refuses to
+//! The status keywords are [`JobStatus::name`]'s, and an `ok` line's
+//! `intervals` are `[instructions, conditional branches, mispredictions]`
+//! triples. The `matrix` field ([`matrix_id`]) fingerprints the (spec ×
+//! trace × interval) matrix, trace lengths included. It is a string of 16
+//! hex digits, not a number, because half of all ids exceed `i64::MAX`
+//! and a JSON number that large does not survive
+//! [`crate::json::JsonValue`] exactly. [`Journal::load`] refuses to
 //! resume a journal recorded for a different matrix, because job indices
-//! would silently point at different work. Only `ok` records are
-//! restored on resume — failed, timed-out, killed, and skipped jobs are
-//! re-run.
+//! would silently point at different work, and a missing or torn header
+//! is an error, never a dropped line. The last line per job wins, and
+//! only `ok` records are restored on resume — failed, timed-out, killed,
+//! and skipped jobs are re-run.
 //!
 //! A `ckpt` line references the latest mid-job `bfbp-ckpt/1` snapshot
 //! file written for a still-running job (so an operator can see where a
@@ -36,19 +43,19 @@
 use std::collections::BTreeMap;
 use std::fmt;
 use std::fs::{File, OpenOptions};
-use std::io::{BufRead, BufReader, Write};
+use std::io::Write;
 use std::path::{Path, PathBuf};
-use std::sync::Mutex;
+use std::sync::{Mutex, PoisonError};
 use std::time::Duration;
 
 use bfbp_trace::format::Fnv;
 
 use crate::engine::{JobOutcome, JobRecord, JobStatus, SeriesInfo, TraceInput};
+use crate::json::{array, parse_lines, JsonValue, Object};
 use crate::simulate::{IntervalPoint, SimResult};
 
-/// Journal format identifier (first token of the header line).
-pub const JOURNAL_SCHEMA: &str = "bfbp-journal/2";
-
+/// Journal format identifier (the header's `schema`).
+pub const JOURNAL_SCHEMA: &str = "bfbp-journal/3";
 /// Why a journal could not be written, read, or matched to a sweep.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum JournalError {
@@ -123,235 +130,125 @@ pub fn matrix_id(series: &[SeriesInfo], inputs: &[TraceInput], interval_insts: u
     hash.finish()
 }
 
-/// `%`-escapes a field so it contains no whitespace (the journal's
-/// field separator) and survives a round trip byte-exact.
-fn escape(text: &str) -> String {
-    let mut out = String::with_capacity(text.len());
-    for c in text.chars() {
-        match c {
-            '%' => out.push_str("%25"),
-            ' ' => out.push_str("%20"),
-            '\n' => out.push_str("%0A"),
-            '\t' => out.push_str("%09"),
-            '\r' => out.push_str("%0D"),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-fn unescape(text: &str) -> String {
-    let mut out = String::with_capacity(text.len());
-    let mut chars = text.chars();
-    while let Some(c) = chars.next() {
-        if c != '%' {
-            out.push(c);
-            continue;
-        }
-        let pair: String = chars.by_ref().take(2).collect();
-        match pair.as_str() {
-            "25" => out.push('%'),
-            "20" => out.push(' '),
-            "0A" => out.push('\n'),
-            "09" => out.push('\t'),
-            "0D" => out.push('\r'),
-            other => {
-                // Tolerate unknown escapes: keep them verbatim.
-                out.push('%');
-                out.push_str(other);
-            }
-        }
-    }
-    out
-}
-
-/// Renders one completed job as a journal line (without the newline).
-pub fn render_entry(job: usize, outcome: &JobOutcome) -> String {
+/// Renders one finished job as a journal line.
+fn entry_line(job: usize, outcome: &JobOutcome) -> Object {
+    let line = Object::new()
+        .member("job", job)
+        .str("status", outcome.status.name())
+        .member("attempts", outcome.attempts);
     match &outcome.status {
         JobStatus::Ok(record) => {
             let r = &record.result;
-            let intervals = if record.intervals.is_empty() {
-                "-".to_owned()
-            } else {
-                record
-                    .intervals
-                    .iter()
-                    .map(|iv| {
-                        format!(
-                            "{}:{}:{}",
-                            iv.instructions, iv.conditional_branches, iv.mispredictions
-                        )
-                    })
-                    .collect::<Vec<_>>()
-                    .join(",")
-            };
-            format!(
-                "ok {job} attempts={} wall_us={} trace={} predictor={} cond={} misp={} insts={} intervals={intervals}",
-                outcome.attempts,
-                record.wall.as_micros(),
-                escape(r.trace_name()),
-                escape(r.predictor_name()),
-                r.conditional_branches(),
-                r.mispredictions(),
-                r.instructions(),
-            )
+            let intervals = record
+                .intervals
+                .iter()
+                .map(|iv| array([iv.instructions, iv.conditional_branches, iv.mispredictions]));
+            line.member("wall_us", record.wall.as_micros())
+                .str("trace", r.trace_name())
+                .str("predictor", r.predictor_name())
+                .member("cond", r.conditional_branches())
+                .member("misp", r.mispredictions())
+                .member("insts", r.instructions())
+                .member("intervals", array(intervals))
         }
-        JobStatus::Failed { error } => format!(
-            "failed {job} attempts={} error={}",
-            outcome.attempts,
-            escape(error)
-        ),
-        JobStatus::TimedOut => format!("timed_out {job} attempts={}", outcome.attempts),
-        JobStatus::Killed => format!("killed {job} attempts={}", outcome.attempts),
-        JobStatus::Skipped => format!("skipped {job}"),
+        JobStatus::Failed { error } => line.str("error", error),
+        JobStatus::TimedOut | JobStatus::Killed | JobStatus::Skipped => line,
     }
 }
 
-/// Renders a mid-job checkpoint reference line (without the newline).
-pub fn render_ckpt_ref(job: usize, records: u64, file: &Path) -> String {
-    format!(
-        "ckpt {job} records={records} file={}",
-        escape(&file.display().to_string())
-    )
+/// One decoded journal line.
+enum Line {
+    /// The header's matrix id.
+    Header(u64),
+    Entry(usize, JobOutcome),
+    Ckpt(usize, CkptRef),
 }
 
-fn field<'a>(token: Option<&'a str>, key: &str, line: usize) -> Result<&'a str, JournalError> {
-    let token = token.ok_or(JournalError::Parse {
-        line,
-        reason: format!("missing field {key}"),
-    })?;
-    token
-        .strip_prefix(key)
-        .and_then(|rest| rest.strip_prefix('='))
-        .ok_or(JournalError::Parse {
-            line,
-            reason: format!("expected {key}=..., got {token:?}"),
-        })
+fn u64_at(value: &JsonValue, key: &str) -> Result<u64, String> {
+    value
+        .get(key)
+        .and_then(JsonValue::as_u64)
+        .ok_or_else(|| format!("missing or malformed {key:?}"))
 }
 
-fn number<T: std::str::FromStr>(text: &str, what: &str, line: usize) -> Result<T, JournalError> {
-    text.parse().map_err(|_| JournalError::Parse {
-        line,
-        reason: format!("{what} is not a number: {text:?}"),
-    })
+fn str_at<'a>(value: &'a JsonValue, key: &str) -> Result<&'a str, String> {
+    value
+        .get(key)
+        .and_then(JsonValue::as_str)
+        .ok_or_else(|| format!("missing or malformed {key:?}"))
 }
 
-/// Parses one journal entry line. `line` is the 1-based line number for
-/// error messages.
-pub fn parse_entry(text: &str, line: usize) -> Result<(usize, JobOutcome), JournalError> {
-    let mut tokens = text.split(' ');
-    let status = tokens.next().unwrap_or_default();
-    let job: usize = number(
-        tokens.next().ok_or(JournalError::Parse {
-            line,
-            reason: "missing job index".into(),
-        })?,
-        "job index",
-        line,
-    )?;
-    let outcome = match status {
+fn interval(item: &JsonValue) -> Option<IntervalPoint> {
+    match item.as_arr()? {
+        [instructions, conditional_branches, mispredictions] => Some(IntervalPoint {
+            instructions: instructions.as_u64()?,
+            conditional_branches: conditional_branches.as_u64()?,
+            mispredictions: mispredictions.as_u64()?,
+        }),
+        _ => None,
+    }
+}
+
+/// Decodes line `line` (1-based): the header on line 1, a job's entry or
+/// `ckpt` reference after it.
+fn decode_line(line: usize, value: JsonValue) -> Result<Line, String> {
+    if line == 1 {
+        let schema = str_at(&value, "schema")?;
+        if schema != JOURNAL_SCHEMA {
+            return Err(format!("schema {schema:?}"));
+        }
+        let matrix = str_at(&value, "matrix")?;
+        return u64::from_str_radix(matrix, 16)
+            .map(Line::Header)
+            .map_err(|_| format!("bad matrix id {matrix:?}"));
+    }
+    let job = usize::try_from(u64_at(&value, "job")?).map_err(|e| e.to_string())?;
+    if let Some(ckpt) = value.get("ckpt") {
+        let records = u64_at(ckpt, "records")?;
+        let file = PathBuf::from(str_at(ckpt, "file")?);
+        return Ok(Line::Ckpt(job, CkptRef { records, file }));
+    }
+    let attempts = u32::try_from(u64_at(&value, "attempts")?).map_err(|e| e.to_string())?;
+    let status = match str_at(&value, "status")? {
         "ok" => {
-            let attempts = number(field(tokens.next(), "attempts", line)?, "attempts", line)?;
-            let wall_us: u64 = number(field(tokens.next(), "wall_us", line)?, "wall_us", line)?;
-            let trace = unescape(field(tokens.next(), "trace", line)?);
-            let predictor = unescape(field(tokens.next(), "predictor", line)?);
-            let cond: u64 = number(field(tokens.next(), "cond", line)?, "cond", line)?;
-            let misp: u64 = number(field(tokens.next(), "misp", line)?, "misp", line)?;
-            let insts: u64 = number(field(tokens.next(), "insts", line)?, "insts", line)?;
-            let intervals_text = field(tokens.next(), "intervals", line)?;
-            let mut intervals = Vec::new();
-            if intervals_text != "-" {
-                for triple in intervals_text.split(',') {
-                    let mut parts = triple.split(':');
-                    let mut next = |what: &str| -> Result<u64, JournalError> {
-                        number(
-                            parts.next().ok_or(JournalError::Parse {
-                                line,
-                                reason: format!("interval triple {triple:?} missing {what}"),
-                            })?,
-                            what,
-                            line,
-                        )
-                    };
-                    intervals.push(IntervalPoint {
-                        instructions: next("instructions")?,
-                        conditional_branches: next("conditional_branches")?,
-                        mispredictions: next("mispredictions")?,
-                    });
-                }
-            }
-            let wall = Duration::from_micros(wall_us);
-            JobOutcome {
-                status: JobStatus::Ok(JobRecord {
-                    result: SimResult::from_counts(trace, predictor, cond, misp, insts),
-                    intervals,
-                    wall,
-                }),
-                attempts,
-                wall,
-            }
-        }
-        "failed" => {
-            let attempts = number(field(tokens.next(), "attempts", line)?, "attempts", line)?;
-            let error = unescape(field(tokens.next(), "error", line)?);
-            JobOutcome {
-                status: JobStatus::Failed { error },
-                attempts,
-                wall: Duration::ZERO,
-            }
-        }
-        "timed_out" => {
-            let attempts = number(field(tokens.next(), "attempts", line)?, "attempts", line)?;
-            JobOutcome {
-                status: JobStatus::TimedOut,
-                attempts,
-                wall: Duration::ZERO,
-            }
-        }
-        "killed" => {
-            let attempts = number(field(tokens.next(), "attempts", line)?, "attempts", line)?;
-            JobOutcome {
-                status: JobStatus::Killed,
-                attempts,
-                wall: Duration::ZERO,
-            }
-        }
-        "skipped" => JobOutcome {
-            status: JobStatus::Skipped,
-            attempts: 0,
-            wall: Duration::ZERO,
-        },
-        other => {
-            return Err(JournalError::Parse {
-                line,
-                reason: format!("unknown status {other:?}"),
+            let intervals = value
+                .get("intervals")
+                .and_then(JsonValue::as_arr)
+                .and_then(|items| items.iter().map(interval).collect::<Option<Vec<_>>>())
+                .ok_or("missing or malformed \"intervals\"")?;
+            let result = SimResult::from_counts(
+                str_at(&value, "trace")?,
+                str_at(&value, "predictor")?,
+                u64_at(&value, "cond")?,
+                u64_at(&value, "misp")?,
+                u64_at(&value, "insts")?,
+            );
+            JobStatus::Ok(JobRecord {
+                result,
+                intervals,
+                wall: Duration::from_micros(u64_at(&value, "wall_us")?),
             })
         }
+        "failed" => JobStatus::Failed {
+            error: str_at(&value, "error")?.to_owned(),
+        },
+        "timed_out" => JobStatus::TimedOut,
+        "killed" => JobStatus::Killed,
+        "skipped" => JobStatus::Skipped,
+        other => return Err(format!("unknown status {other:?}")),
     };
-    Ok((job, outcome))
-}
-
-/// Parses one `ckpt` reference line produced by [`render_ckpt_ref`].
-pub fn parse_ckpt_ref(text: &str, line: usize) -> Result<(usize, CkptRef), JournalError> {
-    let mut tokens = text.split(' ');
-    let keyword = tokens.next().unwrap_or_default();
-    if keyword != "ckpt" {
-        return Err(JournalError::Parse {
-            line,
-            reason: format!("not a ckpt line: {keyword:?}"),
-        });
-    }
-    let job: usize = number(
-        tokens.next().ok_or(JournalError::Parse {
-            line,
-            reason: "missing job index".into(),
-        })?,
-        "job index",
-        line,
-    )?;
-    let records: u64 = number(field(tokens.next(), "records", line)?, "records", line)?;
-    let file = PathBuf::from(unescape(field(tokens.next(), "file", line)?));
-    Ok((job, CkptRef { records, file }))
+    let wall = match &status {
+        JobStatus::Ok(record) => record.wall,
+        _ => Duration::ZERO,
+    };
+    Ok(Line::Entry(
+        job,
+        JobOutcome {
+            status,
+            attempts,
+            wall,
+        },
+    ))
 }
 
 /// Reference to the latest mid-job checkpoint recorded for a job.
@@ -366,10 +263,6 @@ pub struct CkptRef {
 /// Everything read back from a journal file.
 #[derive(Debug)]
 pub struct LoadedJournal {
-    /// Matrix fingerprint from the header.
-    pub matrix_id: u64,
-    /// Total job count from the header.
-    pub n_jobs: usize,
     /// Last recorded outcome per job index (all statuses).
     pub entries: BTreeMap<usize, JobOutcome>,
     /// Last mid-job checkpoint reference per job index.
@@ -392,7 +285,7 @@ impl LoadedJournal {
 ///
 /// The file handle sits behind a `Mutex`; a worker that panics while
 /// holding the lock (it cannot — appends don't panic — but belt and
-/// braces) poisons nothing observable, because every lock site recovers
+/// braces) poisons nothing observable, because the lock site recovers
 /// with `into_inner`-style poison stripping.
 #[derive(Debug)]
 pub struct Journal {
@@ -410,17 +303,18 @@ impl Journal {
         if let Some(parent) = path.parent().filter(|p| !p.as_os_str().is_empty()) {
             std::fs::create_dir_all(parent).map_err(|e| io_err(path, e))?;
         }
-        let mut file = File::create(path).map_err(|e| io_err(path, e))?;
-        writeln!(
-            file,
-            "{JOURNAL_SCHEMA} matrix={matrix_id:016x} jobs={n_jobs}"
-        )
-        .map_err(|e| io_err(path, e))?;
-        file.flush().map_err(|e| io_err(path, e))?;
-        Ok(Self {
+        let file = File::create(path).map_err(|e| io_err(path, e))?;
+        let journal = Self {
             path: path.to_owned(),
             file: Mutex::new(file),
-        })
+        };
+        journal.append(
+            &Object::new()
+                .str("schema", JOURNAL_SCHEMA)
+                .str("matrix", &format!("{matrix_id:016x}"))
+                .member("jobs", n_jobs),
+        )?;
+        Ok(journal)
     }
 
     /// Opens an existing journal for appending (header left untouched).
@@ -439,6 +333,18 @@ impl Journal {
         })
     }
 
+    /// Appends `line` and its newline in one write, then flushes.
+    fn append(&self, line: &Object) -> Result<(), JournalError> {
+        let line = format!("{line}\n");
+        // Recover a poisoned lock: the file is still valid, the worst
+        // case is one duplicated line, and last-wins load semantics
+        // absorb duplicates.
+        let mut file = self.file.lock().unwrap_or_else(PoisonError::into_inner);
+        file.write_all(line.as_bytes())
+            .and_then(|()| file.flush())
+            .map_err(|e| io_err(&self.path, e))
+    }
+
     /// Appends one completed-job record and flushes, so the checkpoint
     /// survives a crash immediately after the job finished.
     ///
@@ -446,16 +352,7 @@ impl Journal {
     ///
     /// Returns an error if the append fails.
     pub fn record(&self, job: usize, outcome: &JobOutcome) -> Result<(), JournalError> {
-        let line = render_entry(job, outcome);
-        // Recover a poisoned lock: the file is still valid, the worst
-        // case is one duplicated/interleaved line, and last-wins load
-        // semantics absorb duplicates.
-        let mut file = self
-            .file
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        writeln!(file, "{line}").map_err(|e| io_err(&self.path, e))?;
-        file.flush().map_err(|e| io_err(&self.path, e))
+        self.append(&entry_line(job, outcome))
     }
 
     /// Appends a mid-job checkpoint reference and flushes, so the latest
@@ -466,80 +363,60 @@ impl Journal {
     ///
     /// Returns an error if the append fails.
     pub fn record_ckpt(&self, job: usize, records: u64, file: &Path) -> Result<(), JournalError> {
-        let line = render_ckpt_ref(job, records, file);
-        let mut sink = self
-            .file
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        writeln!(sink, "{line}").map_err(|e| io_err(&self.path, e))?;
-        sink.flush().map_err(|e| io_err(&self.path, e))
+        let ckpt = Object::new()
+            .member("records", records)
+            .str("file", &file.display().to_string());
+        self.append(&Object::new().member("job", job).member("ckpt", ckpt))
     }
 
-    /// Reads a journal back, verifying the header against `expect_matrix`
-    /// (pass `None` to skip the check) and keeping the last entry per
-    /// job. A trailing truncated line (crash artifact) is ignored; any
-    /// other malformed line is an error.
+    /// Reads a journal back, verifying its header against `expect_matrix`
+    /// and keeping the last line per job. A torn final line (crash
+    /// artifact) is dropped; any other malformed line is an error, and so
+    /// is a missing or torn header, which is never dropped.
     ///
     /// # Errors
     ///
     /// Returns an error on I/O failure, a malformed header or entry, or
     /// a matrix fingerprint mismatch.
-    pub fn load(path: &Path, expect_matrix: Option<u64>) -> Result<LoadedJournal, JournalError> {
-        let file = File::open(path).map_err(|e| io_err(path, e))?;
-        let reader = BufReader::new(file);
-        let mut lines = Vec::new();
-        for line in reader.lines() {
-            lines.push(line.map_err(|e| io_err(path, e))?);
-        }
-        let header = lines.first().ok_or(JournalError::Parse {
+    pub fn load(path: &Path, expect_matrix: u64) -> Result<LoadedJournal, JournalError> {
+        let text = std::fs::read(path).map_err(|e| io_err(path, e))?;
+        let header = |reason| JournalError::Parse {
             line: 1,
-            reason: "empty journal".into(),
-        })?;
-        let mut tokens = header.split(' ');
-        if tokens.next() != Some(JOURNAL_SCHEMA) {
-            return Err(JournalError::Parse {
-                line: 1,
-                reason: format!("not a {JOURNAL_SCHEMA} header: {header:?}"),
+            reason: format!("expected a {JOURNAL_SCHEMA} header: {reason}"),
+        };
+        let mut lines = parse_lines(&text, true, decode_line)
+            .map_err(|e| match e.line {
+                1 => header(e.reason),
+                line => JournalError::Parse {
+                    line,
+                    reason: e.reason,
+                },
+            })?
+            .into_iter();
+        let Some(Line::Header(found)) = lines.next() else {
+            return Err(header("line 1 is empty".to_owned()));
+        };
+        if found != expect_matrix {
+            return Err(JournalError::MatrixMismatch {
+                expected: expect_matrix,
+                found,
             });
-        }
-        let matrix_hex = field(tokens.next(), "matrix", 1)?;
-        let found = u64::from_str_radix(matrix_hex, 16).map_err(|_| JournalError::Parse {
-            line: 1,
-            reason: format!("bad matrix fingerprint {matrix_hex:?}"),
-        })?;
-        let n_jobs: usize = number(field(tokens.next(), "jobs", 1)?, "jobs", 1)?;
-        if let Some(expected) = expect_matrix {
-            if expected != found {
-                return Err(JournalError::MatrixMismatch { expected, found });
-            }
         }
         let mut entries = BTreeMap::new();
         let mut checkpoints = BTreeMap::new();
-        let last = lines.len();
-        for (i, line) in lines.iter().enumerate().skip(1) {
-            if line.is_empty() {
-                continue;
-            }
-            let parsed = if line.starts_with("ckpt ") {
-                parse_ckpt_ref(line, i + 1).map(|(job, ckpt)| {
-                    checkpoints.insert(job, ckpt);
-                })
-            } else {
-                parse_entry(line, i + 1).map(|(job, outcome)| {
+        for line in lines {
+            match line {
+                Line::Entry(job, outcome) => {
                     entries.insert(job, outcome);
-                })
-            };
-            match parsed {
-                Ok(()) => {}
-                // The final line may be a torn write from a crash; every
-                // complete line before it is still good.
-                Err(_) if i + 1 == last => break,
-                Err(e) => return Err(e),
+                }
+                Line::Ckpt(job, ckpt) => {
+                    checkpoints.insert(job, ckpt);
+                }
+                // Only line 1 decodes as a header.
+                Line::Header(_) => {}
             }
         }
         Ok(LoadedJournal {
-            matrix_id: found,
-            n_jobs,
             entries,
             checkpoints,
         })
@@ -573,139 +450,270 @@ mod tests {
         }
     }
 
-    #[test]
-    fn entries_round_trip_every_status() {
-        let outcomes = [
-            ok_outcome(),
-            JobOutcome {
-                status: JobStatus::Failed {
-                    error: "panic: boom with spaces\nand a newline".into(),
-                },
-                attempts: 3,
-                wall: Duration::ZERO,
-            },
-            JobOutcome {
-                status: JobStatus::TimedOut,
-                attempts: 1,
-                wall: Duration::ZERO,
-            },
-            JobOutcome {
-                status: JobStatus::Skipped,
-                attempts: 0,
-                wall: Duration::ZERO,
-            },
-            JobOutcome {
-                status: JobStatus::Killed,
-                attempts: 1,
-                wall: Duration::ZERO,
-            },
-        ];
-        for (i, outcome) in outcomes.iter().enumerate() {
-            let line = render_entry(i, outcome);
-            assert!(!line.contains('\n'), "{line:?}");
-            let (job, back) = parse_entry(&line, 1).expect(&line);
-            assert_eq!(job, i);
-            // wall for non-ok entries is not persisted; compare status.
-            assert_eq!(back.status, outcome.status, "{line}");
-            assert_eq!(back.attempts, outcome.attempts);
+    /// An outcome without a record, whose wall time is not journaled.
+    fn outcome(status: JobStatus, attempts: u32) -> JobOutcome {
+        JobOutcome {
+            status,
+            attempts,
+            wall: Duration::ZERO,
         }
     }
 
+    /// A fresh scratch directory of one test's own.
+    fn scratch(name: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join(format!("bfbp-journal-test-{name}"));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        dir
+    }
+
+    /// Every status, and awkward text in every free-text field, round
+    /// trips exactly: quotes, backslashes, control characters, tabs,
+    /// newlines, non-ASCII text, spaces and `%`.
     #[test]
-    fn escape_round_trips() {
-        for s in [
-            "plain",
-            "a b",
-            "pct%20already",
-            "tab\there",
-            "nl\nthere",
-            "%",
-        ] {
-            assert_eq!(unescape(&escape(s)), s, "{s:?}");
+    fn entries_round_trip_every_status() {
+        let dir = scratch("statuses");
+        let path = dir.join("run.journal");
+        let awkward_ok = JobOutcome {
+            status: JobStatus::Ok(JobRecord {
+                result: SimResult::from_counts("INT 1 %20 x", "bf tage 100%", 10, 1, 100),
+                intervals: Vec::new(),
+                wall: Duration::from_micros(9),
+            }),
+            attempts: 1,
+            wall: Duration::from_micros(9),
+        };
+        let outcomes = [
+            ok_outcome(),
+            awkward_ok,
+            outcome(
+                JobStatus::Failed {
+                    error: "panic: \"quoted\" back\\slash \u{1} tab\there\nnew line, naïve ✓ 100%"
+                        .into(),
+                },
+                3,
+            ),
+            outcome(JobStatus::TimedOut, 1),
+            outcome(JobStatus::Skipped, 0),
+            outcome(JobStatus::Killed, 1),
+        ];
+        let file = Path::new("ck dir/with spaces/job-0.ckpt");
+        let journal = Journal::create(&path, 7, outcomes.len()).unwrap();
+        journal.record_ckpt(0, 4096, file).unwrap();
+        for (job, outcome) in outcomes.iter().enumerate() {
+            journal.record(job, outcome).unwrap();
         }
+        drop(journal);
+        let text = std::fs::read_to_string(&path).unwrap();
+        assert_eq!(text.split('\n').count(), 3 + outcomes.len(), "{text}");
+        assert!(
+            text.starts_with("{\"schema\": \"bfbp-journal/3\", "),
+            "{text}"
+        );
+        let loaded = Journal::load(&path, 7).unwrap();
+        let ckpt = CkptRef {
+            records: 4096,
+            file: file.to_owned(),
+        };
+        assert_eq!(loaded.checkpoints[&0], ckpt);
+        let back: Vec<JobOutcome> = loaded.entries.into_values().collect();
+        assert_eq!(back, outcomes);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// The journal of the golden fixture: job `k` on line `k + 2`, one
+    /// line of every kind, and the `ckpt` line last.
+    fn every_line_kind(path: &Path) {
+        let journal = Journal::create(path, 0xfeed_beef_0000_0001, 6).unwrap();
+        let ok = JobStatus::Ok(JobRecord {
+            result: SimResult::from_counts("INT 1", "bf-tage", 4000, 77, 40_000),
+            intervals: vec![
+                IntervalPoint {
+                    instructions: 20_000,
+                    conditional_branches: 2000,
+                    mispredictions: 40,
+                },
+                IntervalPoint {
+                    instructions: 20_000,
+                    conditional_branches: 2000,
+                    mispredictions: 37,
+                },
+            ],
+            wall: Duration::from_micros(5678),
+        });
+        let failed = JobStatus::Failed {
+            error: "panic: 100% broken\n\tat x".to_owned(),
+        };
+        journal.record(0, &outcome(ok, 1)).unwrap();
+        journal.record(1, &outcome(failed, 3)).unwrap();
+        journal.record(2, &outcome(JobStatus::TimedOut, 2)).unwrap();
+        journal.record(3, &outcome(JobStatus::Killed, 1)).unwrap();
+        journal.record(4, &outcome(JobStatus::Skipped, 0)).unwrap();
+        journal
+            .record_ckpt(5, 8192, Path::new("ckpts dir/job-5.ckpt"))
+            .unwrap();
+    }
+
+    #[test]
+    fn every_prefix_loads_its_complete_lines_or_fails_in_the_header() {
+        let dir = scratch("prefix");
+        let path = dir.join("run.journal");
+        every_line_kind(&path);
+        let full = std::fs::read(&path).unwrap();
+        let whole = Journal::load(&path, 0xfeed_beef_0000_0001).unwrap();
+        // The byte offset just past each line's closing brace.
+        let mut ends = Vec::new();
+        let mut start = 0;
+        for line in full.split(|&b| b == b'\n').filter(|l| !l.is_empty()) {
+            ends.push(start + line.len());
+            start += line.len() + 1;
+        }
+        assert_eq!(ends.len(), 7);
+        for cut in 0..=full.len() {
+            std::fs::write(&path, &full[..cut]).unwrap();
+            let loaded = Journal::load(&path, 0xfeed_beef_0000_0001);
+            if cut < ends[0] {
+                assert!(
+                    matches!(loaded, Err(JournalError::Parse { line: 1, .. })),
+                    "cut {cut}: {loaded:?}"
+                );
+                continue;
+            }
+            let loaded = loaded.unwrap_or_else(|e| panic!("cut {cut}: {e}"));
+            let complete = |job: &usize| ends[job + 1] <= cut;
+            let entries: BTreeMap<_, _> = whole
+                .entries
+                .iter()
+                .filter(|(job, _)| complete(job))
+                .map(|(job, o)| (*job, o.clone()))
+                .collect();
+            let checkpoints: BTreeMap<_, _> = whole
+                .checkpoints
+                .iter()
+                .filter(|(job, _)| complete(job))
+                .map(|(job, c)| (*job, c.clone()))
+                .collect();
+            assert_eq!(loaded.entries, entries, "cut {cut}");
+            assert_eq!(loaded.checkpoints, checkpoints, "cut {cut}");
+        }
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn journal_file_round_trip_last_wins_and_torn_tail() {
-        let dir = std::env::temp_dir().join("bfbp-journal-test");
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = scratch("last-wins");
         let path = dir.join("run.journal");
         let journal = Journal::create(&path, 0xDEAD_BEEF, 4).unwrap();
-        let failed = JobOutcome {
-            status: JobStatus::Failed {
+        let failed = outcome(
+            JobStatus::Failed {
                 error: "first attempt".into(),
             },
-            attempts: 1,
-            wall: Duration::ZERO,
-        };
+            1,
+        );
         journal.record(0, &failed).unwrap();
         journal.record(1, &ok_outcome()).unwrap();
         journal.record(0, &ok_outcome()).unwrap(); // last wins
         drop(journal);
 
-        // Torn tail: append half a line without newline-terminated fields.
+        // Torn tail: half a line without its newline.
         {
-            use std::io::Write as _;
             let mut f = OpenOptions::new().append(true).open(&path).unwrap();
-            write!(f, "ok 2 attempts=1 wall_us=9 trace=t").unwrap();
+            write!(
+                f,
+                "{{\"job\": 2, \"status\": \"ok\", \"attempts\": 1, \"trace\": \"t"
+            )
+            .unwrap();
         }
 
-        let loaded = Journal::load(&path, Some(0xDEAD_BEEF)).unwrap();
-        assert_eq!(loaded.matrix_id, 0xDEAD_BEEF);
-        assert_eq!(loaded.n_jobs, 4);
+        let loaded = Journal::load(&path, 0xDEAD_BEEF).unwrap();
         assert_eq!(loaded.entries.len(), 2);
         assert!(loaded.entries[&0].is_ok(), "last entry for job 0 wins");
         let completed = loaded.completed();
         assert_eq!(completed.len(), 2);
 
-        assert!(matches!(
-            Journal::load(&path, Some(0x1234)),
-            Err(JournalError::MatrixMismatch { .. })
-        ));
+        assert_eq!(
+            Journal::load(&path, 0x1234).unwrap_err(),
+            JournalError::MatrixMismatch {
+                expected: 0x1234,
+                found: 0xDEAD_BEEF
+            }
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn the_largest_matrix_id_loads_and_matches() {
+        let dir = scratch("max");
+        let path = dir.join("run.journal");
+        drop(Journal::create(&path, u64::MAX, 1).unwrap());
+        let text = std::fs::read_to_string(&path).unwrap();
+        assert!(text.contains("\"matrix\": \"ffffffffffffffff\""), "{text}");
+        assert!(Journal::load(&path, u64::MAX).unwrap().entries.is_empty());
+        assert_eq!(
+            Journal::load(&path, u64::MAX - 1).unwrap_err(),
+            JournalError::MatrixMismatch {
+                expected: u64::MAX - 1,
+                found: u64::MAX
+            }
+        );
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn load_rejects_garbage() {
-        let dir = std::env::temp_dir().join("bfbp-journal-test-bad");
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = scratch("bad");
         let path = dir.join("bad.journal");
         std::fs::write(&path, "not a journal\n").unwrap();
         assert!(matches!(
-            Journal::load(&path, None),
+            Journal::load(&path, 1),
             Err(JournalError::Parse { line: 1, .. })
         ));
         // A malformed line that is NOT the last one is a hard error.
         std::fs::write(
             &path,
             format!(
-                "{JOURNAL_SCHEMA} matrix=0000000000000001 jobs=2\ngarbage line zero\nskipped 1\n"
+                "{{\"schema\": \"{JOURNAL_SCHEMA}\", \"matrix\": \"0000000000000001\", \"jobs\": 2}}\n\
+                 garbage line zero\n\
+                 {{\"job\": 1, \"status\": \"skipped\", \"attempts\": 0}}\n"
             ),
         )
         .unwrap();
         assert!(matches!(
-            Journal::load(&path, None),
-            Err(JournalError::Parse { .. })
+            Journal::load(&path, 1),
+            Err(JournalError::Parse { line: 2, .. })
         ));
         assert!(matches!(
-            Journal::load(&dir.join("missing.journal"), None),
+            Journal::load(&dir.join("missing.journal"), 1),
             Err(JournalError::Io { .. })
         ));
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
-    fn ckpt_refs_round_trip_and_load_last_wins() {
-        let line = render_ckpt_ref(3, 50_000, Path::new("/tmp/dir with space/job-3.ckpt"));
-        assert!(!line.contains("dir with space"), "spaces must escape");
-        let (job, ckpt) = parse_ckpt_ref(&line, 1).unwrap();
-        assert_eq!(job, 3);
-        assert_eq!(ckpt.records, 50_000);
-        assert_eq!(ckpt.file, PathBuf::from("/tmp/dir with space/job-3.ckpt"));
-        assert!(parse_ckpt_ref("ok 1 attempts=1", 1).is_err());
+    fn an_older_journal_fails_naming_the_schema_it_wants() {
+        let dir = scratch("older");
+        let path = dir.join("old.journal");
+        let header = "bfbp-journal/2 matrix=0000000000000001 jobs=2\n";
+        for text in [
+            header.to_owned(),
+            format!("{header}skipped 1\nok 0 attempts=1\n"),
+            "{\"schema\": \"bfbp-journal/2\", \"matrix\": \"0000000000000001\"}\n".to_owned(),
+            String::new(),
+        ] {
+            std::fs::write(&path, &text).unwrap();
+            match Journal::load(&path, 1) {
+                Err(JournalError::Parse { line: 1, reason }) => {
+                    assert!(reason.contains("bfbp-journal/3"), "{text:?}: {reason}")
+                }
+                other => panic!("{text:?}: {other:?}"),
+            }
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 
-        let dir = std::env::temp_dir().join("bfbp-journal-test-ckpt");
-        std::fs::create_dir_all(&dir).unwrap();
+    #[test]
+    fn ckpt_refs_round_trip_and_load_last_wins() {
+        let dir = scratch("ckpt");
         let path = dir.join("run.journal");
         let journal = Journal::create(&path, 0xC0FFEE, 2).unwrap();
         journal
@@ -719,18 +727,17 @@ mod tests {
             .unwrap();
         journal.record(1, &ok_outcome()).unwrap();
         drop(journal);
-        let loaded = Journal::load(&path, Some(0xC0FFEE)).unwrap();
+        let loaded = Journal::load(&path, 0xC0FFEE).unwrap();
         assert_eq!(loaded.checkpoints.len(), 2);
         assert_eq!(loaded.checkpoints[&0].records, 2000, "last ckpt ref wins");
         assert_eq!(loaded.entries.len(), 1);
 
         // A torn trailing ckpt line is tolerated like a torn entry.
         {
-            use std::io::Write as _;
             let mut f = OpenOptions::new().append(true).open(&path).unwrap();
-            write!(f, "ckpt 0 records=").unwrap();
+            write!(f, "{{\"job\": 0, \"ckpt\": {{\"records\": ").unwrap();
         }
-        let reloaded = Journal::load(&path, Some(0xC0FFEE)).unwrap();
+        let reloaded = Journal::load(&path, 0xC0FFEE).unwrap();
         assert_eq!(reloaded.checkpoints[&0].records, 2000);
         let _ = std::fs::remove_dir_all(&dir);
     }

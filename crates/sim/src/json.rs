@@ -1,6 +1,6 @@
-//! The one JSON module: every document and event line the workspace
-//! writes is rendered here, and every JSON text it reads back is parsed
-//! here. No dependencies.
+//! The one JSON module: every document, event line and journal line the
+//! workspace writes is rendered here, and every JSON text it reads back
+//! is parsed here. No dependencies.
 //!
 //! Writing: [`json_string`] and [`json_f64`] render scalars, an
 //! [`Object`] appends `"key": value` members in insertion order,
@@ -12,6 +12,8 @@
 //! Reading: [`parse_json`] is a small recursive-descent parser into
 //! [`JsonValue`], whose `Display` writes the value back as compact JSON:
 //! an integer as it was written, any other number through [`json_f64`].
+//! [`parse_lines`] reads the append-only JSON-lines files (the sweep
+//! journal and the events journal) and owns their one torn-tail rule.
 //!
 //! ```
 //! use bfbp_sim::json::{array, opt, parse_json, Object};
@@ -501,6 +503,60 @@ pub fn parse_json(text: &str) -> Result<JsonValue, JsonError> {
     Ok(value)
 }
 
+/// A line of a JSON-lines text that failed to parse or decode.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct LineError {
+    /// 1-based line number.
+    pub line: usize,
+    /// Human-readable reason.
+    pub reason: String,
+}
+
+/// Reads a JSON-lines text, one value per line: every non-blank line is
+/// parsed and handed to `decode` with its 1-based line number.
+///
+/// The files are appended a line at a time, so a crash can tear only the
+/// final line: a final line that is not UTF-8 or fails to parse or
+/// decode is dropped, and every complete line before it still counts.
+/// The same failure on an earlier line is corruption, not a crash
+/// artifact, and is an error. With `header`, line 1 is a header that
+/// every later line depends on, so it is never dropped: a bad header is
+/// an error even when it is the only line.
+///
+/// # Errors
+///
+/// [`LineError`] for the first bad line that is not dropped.
+pub fn parse_lines<T>(
+    text: &[u8],
+    header: bool,
+    mut decode: impl FnMut(usize, JsonValue) -> Result<T, String>,
+) -> Result<Vec<T>, LineError> {
+    let text = text.strip_suffix(b"\n").unwrap_or(text);
+    let lines: Vec<&[u8]> = text.split(|&b| b == b'\n').collect();
+    let last = lines.len() - 1;
+    let mut items = Vec::with_capacity(lines.len());
+    for (i, line) in lines.into_iter().enumerate() {
+        if line.trim_ascii().is_empty() {
+            continue;
+        }
+        let item = std::str::from_utf8(line)
+            .map_err(|_| "invalid UTF-8".to_owned())
+            .and_then(|line| parse_json(line).map_err(|e| e.to_string()))
+            .and_then(|value| decode(i + 1, value));
+        match item {
+            Ok(item) => items.push(item),
+            Err(_) if i == last && !(header && i == 0) => break,
+            Err(reason) => {
+                return Err(LineError {
+                    line: i + 1,
+                    reason,
+                })
+            }
+        }
+    }
+    Ok(items)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -565,5 +621,34 @@ mod tests {
             .map_err(|e| e.to_string())
             .unwrap_err()
             .is_empty());
+    }
+
+    #[test]
+    fn lines_drop_only_a_torn_final_line() {
+        let uint = |_: usize, v: JsonValue| v.as_u64().ok_or_else(|| "not a u64".to_owned());
+        let read = |text: &[u8]| parse_lines(text, false, uint);
+        assert_eq!(read(b"1\n\n2\n"), Ok(vec![1, 2]));
+        assert_eq!(read(b""), Ok(vec![]));
+        // A final line that fails to parse, to decode, or to be UTF-8 is
+        // torn, with or without its newline.
+        assert_eq!(read(b"1\n[2"), Ok(vec![1]));
+        assert_eq!(read(b"1\n-2\n"), Ok(vec![1]));
+        assert_eq!(read(b"1\n\"\xc3"), Ok(vec![1]));
+        // The same line anywhere else is an error naming its line.
+        let err = read(b"1\n[2\n3\n").unwrap_err();
+        assert_eq!(err.line, 2);
+        assert!(err.reason.starts_with("invalid JSON"), "{}", err.reason);
+        assert_eq!(
+            read(b"-2\n3\n"),
+            Err(LineError {
+                line: 1,
+                reason: "not a u64".to_owned()
+            })
+        );
+        assert_eq!(read(b"\xff\n3\n").unwrap_err().line, 1);
+        // A header is never torn, not even as the only line.
+        assert_eq!(read(b"-2"), Ok(vec![]));
+        assert_eq!(parse_lines(b"-2", true, uint).unwrap_err().line, 1);
+        assert_eq!(parse_lines(b"1\n[2", true, uint), Ok(vec![1]));
     }
 }

@@ -55,9 +55,7 @@ pub use obs::{
 pub use predictor::{ConditionalPredictor, PredictorCaps, Provenance};
 pub use registry::{BuildError, ParamValue, Params, PredictorRegistry, PredictorSpec};
 pub use service::{ServeClient, ServeError, ServeOptions, Server, ServerHandle};
-pub use simulate::{
-    mean_mpki, simulate, IntervalPoint, SimResult, Simulation, SimulationAborted, SimulationError,
-};
+pub use simulate::{mean_mpki, simulate, IntervalPoint, SimResult, Simulation, SimulationError};
 pub use storage::StorageBreakdown;
 pub use tune::{
     tune, Candidate, Dimension, FrontierPoint, RungOutcome, SearchSpace, TuneError, TuneOptions,

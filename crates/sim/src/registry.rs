@@ -28,7 +28,7 @@
 use std::collections::BTreeMap;
 use std::fmt;
 
-use crate::json::{json_f64, json_string, Object};
+use crate::json::{json_string, Object};
 use crate::predictor::{ConditionalPredictor, PredictorCaps, StaticPredictor};
 
 /// A typed parameter value.
@@ -36,8 +36,6 @@ use crate::predictor::{ConditionalPredictor, PredictorCaps, StaticPredictor};
 pub enum ParamValue {
     /// A signed integer (table counts, log2 sizes, depths).
     Int(i64),
-    /// A floating-point number (scales, probabilities).
-    Float(f64),
     /// A flag (e.g. `sc`, `folded-hist`).
     Bool(bool),
     /// A free-form string (e.g. `history-mode`).
@@ -45,21 +43,15 @@ pub enum ParamValue {
 }
 
 impl ParamValue {
-    /// Parses from text: `true`/`false`, then integer, then float, then
-    /// plain string. Used by [`PredictorSpec::parse`].
+    /// Parses from text: `true`/`false`, then integer, then plain
+    /// string. Used by [`PredictorSpec::parse`].
     pub fn parse(text: &str) -> ParamValue {
         match text {
             "true" => ParamValue::Bool(true),
             "false" => ParamValue::Bool(false),
-            _ => {
-                if let Ok(i) = text.parse::<i64>() {
-                    ParamValue::Int(i)
-                } else if let Ok(f) = text.parse::<f64>() {
-                    ParamValue::Float(f)
-                } else {
-                    ParamValue::Str(text.to_owned())
-                }
-            }
+            _ => text
+                .parse()
+                .map_or_else(|_| ParamValue::Str(text.to_owned()), ParamValue::Int),
         }
     }
 
@@ -67,18 +59,16 @@ impl ParamValue {
     pub fn type_name(&self) -> &'static str {
         match self {
             ParamValue::Int(_) => "int",
-            ParamValue::Float(_) => "float",
             ParamValue::Bool(_) => "bool",
             ParamValue::Str(_) => "string",
         }
     }
 
-    /// Renders the value as a JSON literal: ints and bools bare, floats
-    /// through [`json_f64`], strings quoted and escaped.
+    /// Renders the value as a JSON literal: ints and bools bare,
+    /// strings quoted and escaped.
     pub fn to_json(&self) -> String {
         match self {
             ParamValue::Int(i) => i.to_string(),
-            ParamValue::Float(f) => json_f64(*f),
             ParamValue::Bool(b) => b.to_string(),
             ParamValue::Str(s) => json_string(s),
         }
@@ -89,7 +79,6 @@ impl fmt::Display for ParamValue {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             ParamValue::Int(i) => write!(f, "{i}"),
-            ParamValue::Float(x) => write!(f, "{x}"),
             ParamValue::Bool(b) => write!(f, "{b}"),
             ParamValue::Str(s) => write!(f, "{s}"),
         }
@@ -114,11 +103,6 @@ impl From<u32> for ParamValue {
 impl From<usize> for ParamValue {
     fn from(v: usize) -> Self {
         ParamValue::Int(v as i64)
-    }
-}
-impl From<f64> for ParamValue {
-    fn from(v: f64) -> Self {
-        ParamValue::Float(v)
     }
 }
 impl From<bool> for ParamValue {
@@ -224,18 +208,6 @@ impl Params {
     pub fn u32(&self, key: &str) -> Result<u32, BuildError> {
         let v = self.usize(key)?;
         u32::try_from(v).map_err(|_| BuildError::invalid(key, format!("{v} out of range for u32")))
-    }
-
-    /// Reads a float parameter (integers widen).
-    pub fn f64(&self, key: &str) -> Result<f64, BuildError> {
-        match self.required(key)? {
-            ParamValue::Float(f) => Ok(*f),
-            ParamValue::Int(i) => Ok(*i as f64),
-            other => Err(BuildError::invalid(
-                key,
-                format!("expected a number, got {other} ({})", other.type_name()),
-            )),
-        }
     }
 
     /// Reads a boolean parameter.
@@ -415,7 +387,7 @@ impl PredictorSpec {
 
     /// Parses `[label=]name[:key=value,key=value,...]`.
     ///
-    /// Values parse as bool, then int, then float, then string:
+    /// Values parse as bool, then int, then string:
     /// `TAGE=isl-tage:tables=15,sc=false`.
     pub fn parse(text: &str) -> Result<Self, BuildError> {
         let (head, params_text) = match text.split_once(':') {
@@ -665,17 +637,12 @@ mod tests {
 
     #[test]
     fn params_merge_and_typed_reads() {
-        let defaults = Params::new()
-            .set("tables", 10)
-            .set("sc", true)
-            .set("scale", 1.5);
+        let defaults = Params::new().set("tables", 10).set("sc", true);
         let merged = defaults
             .merged_with(&Params::new().set("tables", 4).set("sc", false))
             .unwrap();
         assert_eq!(merged.usize("tables").unwrap(), 4);
         assert!(!merged.bool("sc").unwrap());
-        assert_eq!(merged.f64("scale").unwrap(), 1.5);
-        assert_eq!(merged.f64("tables").unwrap(), 4.0); // int widens
         assert!(merged.str("tables").is_err());
         assert!(defaults
             .merged_with(&Params::new().set("tablez", 4))
@@ -721,7 +688,7 @@ mod tests {
     fn param_value_parse_types() {
         assert_eq!(ParamValue::parse("true"), ParamValue::Bool(true));
         assert_eq!(ParamValue::parse("15"), ParamValue::Int(15));
-        assert_eq!(ParamValue::parse("0.5"), ParamValue::Float(0.5));
+        assert_eq!(ParamValue::parse("0.5"), ParamValue::Str("0.5".into()));
         assert_eq!(
             ParamValue::parse("recency-stack"),
             ParamValue::Str("recency-stack".into())

@@ -214,15 +214,11 @@ impl SessionManager {
         let Some(path) = self.ckpt_path(id) else {
             return Ok(false);
         };
-        if !session.caps.checkpointable {
+        let Some(restorable) = session.predictor.checkpointing() else {
             return Ok(false);
-        }
+        };
         let mut state = StateWriter::new();
-        session
-            .predictor
-            .checkpointing()
-            .expect("capability descriptor said checkpointable")
-            .save_state(&mut state);
+        restorable.save_state(&mut state);
         let mut w = StateWriter::new();
         w.u64(id);
         w.str(&session.spec);

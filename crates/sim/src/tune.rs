@@ -86,7 +86,7 @@ pub enum Dimension {
         step: i64,
     },
     /// Explicit alternatives, each parsed with [`ParamValue::parse`]
-    /// semantics (bool, then int, then float, then string).
+    /// semantics (bool, then int, then string).
     Choices(Vec<ParamValue>),
 }
 

@@ -1,7 +1,7 @@
 //! Integration tests for crash-consistent mid-job checkpointing: the
 //! snapshot/restore round-trip property for every registry predictor,
 //! kill-resume byte-identity of the `bfbp-sweep/2` and `bfbp-metrics/1`
-//! documents, torn/stale checkpoint quarantine, the `bfbp-journal/2`
+//! documents, torn/stale checkpoint quarantine, the `bfbp-journal/3`
 //! checkpoint-reference interplay, and cancellation-aware retry backoff.
 
 use std::fs;
@@ -12,7 +12,7 @@ use std::time::{Duration, Instant};
 use bfbp::sim::ckpt::{SimCheckpoint, StateReader};
 use bfbp::sim::engine::{sweep_inputs, JobStatus, SweepOptions, TraceInput};
 use bfbp::sim::fault::FaultPlan;
-use bfbp::sim::journal::Journal;
+use bfbp::sim::journal::{self, Journal};
 use bfbp::sim::registry::PredictorSpec;
 use bfbp::sim::simulate::Simulation;
 use bfbp::sim::RetryPolicy;
@@ -309,7 +309,7 @@ fn stale_checkpoint_from_a_different_matrix_is_quarantined() {
 
 /// Journal interplay: a killed job is never journaled as terminal (it
 /// is still in flight, like a SIGKILLed process), its checkpoint IS
-/// referenced from the `bfbp-journal/2` file, and a journal resume plus
+/// referenced from the `bfbp-journal/3` file, and a journal resume plus
 /// checkpoint restore reproduces the uninterrupted document.
 #[test]
 fn killed_jobs_stay_out_of_the_journal_but_their_checkpoints_are_referenced() {
@@ -347,7 +347,12 @@ fn killed_jobs_stay_out_of_the_journal_but_their_checkpoints_are_referenced() {
     assert_eq!(killed.jobs()[2].status, JobStatus::Killed);
     assert_eq!(killed.summary().ok, 3);
 
-    let loaded = Journal::load(&journal, None).expect("journal loads");
+    let matrix = journal::matrix_id(
+        killed.series(),
+        &inputs,
+        SweepOptions::serial().interval_insts,
+    );
+    let loaded = Journal::load(&journal, matrix).expect("journal loads");
     assert_eq!(
         loaded.entries.keys().copied().collect::<Vec<_>>(),
         vec![0, 1, 3],

@@ -88,7 +88,10 @@ fn acceptance_panic_timeout_corruption_then_resume() {
     // The journal holds the schema header plus one line per job.
     let round1 = fs::read_to_string(&journal).expect("journal written");
     assert_eq!(round1.lines().count(), 1 + 4, "{round1}");
-    assert!(round1.starts_with("bfbp-journal/2 "), "{round1}");
+    assert!(
+        round1.starts_with("{\"schema\": \"bfbp-journal/3\", "),
+        "{round1}"
+    );
 
     // Round 2: resume with the faults gone. Only the three unhealthy
     // jobs may re-run; the completed one is restored from the journal.

@@ -401,7 +401,7 @@ fn serve_session_file_is_pinned() {
     assert_eq!(pinned, (1166, 0x029f_09e1_c238_218f));
 }
 
-/// A `bfbp-journal/2` file holding every line kind.
+/// A `bfbp-journal/3` file holding every line kind.
 #[test]
 fn sweep_journal_file_is_pinned() {
     let path = scratch("sweep.journal");
@@ -445,7 +445,7 @@ fn sweep_journal_file_is_pinned() {
         .record_ckpt(5, 8192, Path::new("ckpts dir/job-5.ckpt"))
         .expect("ckpt line");
     drop(journal);
-    assert_eq!(pin(&path), (339, 0x493c_8820_fef5_68bf));
+    assert_eq!(pin(&path), (563, 0xd2ce_1743_53c3_c4b7));
 }
 
 fn stats(seed: u64) -> SessionStats {
