@@ -87,15 +87,7 @@ fn main() -> ExitCode {
         .observer(&mut observe)
         .run_trace(&trace)
         .expect("never cancelled");
-    obs.metrics
-        .counter("sim.instructions", result.instructions());
-    obs.metrics
-        .counter("sim.conditional_branches", result.conditional_branches());
-    obs.metrics
-        .counter("sim.mispredictions", result.mispredictions());
-    if let Some(introspect) = predictor.introspection() {
-        introspect.introspect(&mut obs.metrics);
-    }
+    obs.record_run(&result, predictor.as_ref());
 
     if let Some(path) = &common.events {
         match EventJournal::open(path) {

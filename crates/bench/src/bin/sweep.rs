@@ -41,8 +41,8 @@
 //!
 //! Fault tolerance: failed jobs are retried `--retries` times with
 //! `--backoff` between attempts; `--timeout` bounds each job's wall
-//! clock (`0` sets no bound); `--journal` checkpoints completed jobs so
-//! `--resume` re-runs only missing or failed ones;
+//! clock (`0` sets no bound); `--journal` records every job that
+//! finishes ok so `--resume` re-runs only the others;
 //! `--checkpoint-every`/`--checkpoint-dir` additionally snapshot each
 //! in-flight job's full predictor state so a killed process resumes
 //! *mid-trace* instead of restarting the job.

@@ -36,10 +36,11 @@ common flags:
   --retries N          re-attempts per failed job
   --backoff MS         delay between retry attempts
   --timeout MS         per-job wall-clock budget (0 = none)
-  --journal PATH       checkpoint completed jobs to a journal
-  --resume PATH        restore from a journal, re-running only missing
-                       or failed jobs (keeps appending to it unless
-                       --journal names another file)
+  --journal PATH       journal every job that finishes ok
+  --resume PATH        restore from a journal, re-running every job it
+                       does not hold; the resumed run's journal (this
+                       file unless --journal names another) starts with
+                       every restored job
   --checkpoint-every N snapshot each in-flight job's full state every N
                        trace records (requires --checkpoint-dir)
   --checkpoint-dir DIR directory for mid-job bfbp-ckpt/1 snapshots; a
@@ -249,8 +250,8 @@ impl CommonArgs {
 
     /// Overlays every given engine flag on `options`; fields left
     /// `None` keep whatever `options` already holds. `--resume` also
-    /// checkpoints to the resumed journal unless `--journal` names
-    /// another file.
+    /// journals to the resumed journal unless `--journal` names another
+    /// file.
     fn apply_to(&self, options: &mut SweepOptions) {
         if let Some(n) = self.threads {
             options.threads = n;

@@ -24,9 +24,9 @@
 //!   reports [`JobStatus::TimedOut`] while the pool moves on;
 //! * a trace that fails validation on load ([`TraceInput::Unavailable`])
 //!   quarantines exactly the jobs that needed it;
-//! * completed jobs can be checkpointed to a [`journal`] file as they
-//!   finish, and a later sweep with [`SweepOptions::resume_from`]
-//!   restores them and re-runs only the missing or failed jobs;
+//! * each job that finishes `ok` is appended to a [`journal`] file, and
+//!   a later sweep with [`SweepOptions::resume_from`] restores those
+//!   jobs and re-runs only the others;
 //! * with [`SweepOptions::with_checkpoints`], every in-flight job
 //!   additionally snapshots its full predictor + accounting state to a
 //!   `bfbp-ckpt/1` file every N records, so a crash (or an injected
@@ -135,13 +135,16 @@ pub struct SweepOptions {
     pub timeout: Option<Duration>,
     /// Deterministic fault injection (tests and chaos drills).
     pub fault_plan: Option<FaultPlan>,
-    /// Checkpoint journal to append completed jobs to.
+    /// Resume journal: started with the jobs restored from
+    /// [`SweepOptions::resume_from`], then one line per job that
+    /// finishes `ok`.
     pub journal: Option<PathBuf>,
-    /// Journal to restore completed jobs from; only missing or failed
-    /// jobs are re-run. The journal must belong to this matrix
-    /// ([`journal::matrix_id`], trace lengths included), or the sweep
-    /// fails with [`SweepError::Journal`]. Point [`SweepOptions::journal`]
-    /// at the same file to keep checkpointing the resumed run.
+    /// Journal to restore finished jobs from; every other job is re-run.
+    /// The journal must belong to this matrix ([`journal::matrix_id`],
+    /// trace lengths included), or the sweep fails with
+    /// [`SweepError::Journal`]. [`SweepOptions::journal`] may name the
+    /// same file or another; either way it starts with every restored
+    /// job.
     pub resume_from: Option<PathBuf>,
     /// Mid-job checkpoint cadence in trace records; `0` disables
     /// mid-job checkpointing. Takes effect only together with
@@ -232,14 +235,15 @@ impl SweepOptions {
         self
     }
 
-    /// Appends completed jobs to a checkpoint journal at `path`.
+    /// Journals every job that finishes `ok` to `path`.
     pub fn with_journal(mut self, path: impl Into<PathBuf>) -> Self {
         self.journal = Some(path.into());
         self
     }
 
-    /// Resumes from the journal at `path` *and* keeps appending new
-    /// completions to it — the `sweep --resume` workflow.
+    /// Resumes from the journal at `path` and journals back to it: the
+    /// file is rewritten with every restored job and gains each job that
+    /// finishes `ok` — the `sweep --resume` workflow.
     pub fn resuming(mut self, path: impl Into<PathBuf>) -> Self {
         let path = path.into();
         self.resume_from = Some(path.clone());
@@ -357,7 +361,8 @@ pub enum JobStatus {
 }
 
 impl JobStatus {
-    /// The status keyword used in the JSON document and the journal.
+    /// The status keyword used in the results document and the event
+    /// journal.
     pub fn name(&self) -> &'static str {
         match self {
             JobStatus::Ok(_) => "ok",
@@ -1099,18 +1104,11 @@ impl SweepContext<'_> {
                     observer,
                 };
                 match file.write_to(path) {
-                    Ok(()) => {
-                        self.emit(
-                            Event::new("ckpt_write")
-                                .num("job", job as u64)
-                                .num("records", records),
-                        );
-                        if let Some(journal) = &self.journal {
-                            if let Err(e) = journal.record_ckpt(job, records, path) {
-                                eprintln!("warning: checkpoint journal write failed: {e}");
-                            }
-                        }
-                    }
+                    Ok(()) => self.emit(
+                        Event::new("ckpt_write")
+                            .num("job", job as u64)
+                            .num("records", records),
+                    ),
                     // "No checkpoint taken": the previous snapshot, if
                     // any, stays valid.
                     Err(e) => {
@@ -1155,15 +1153,7 @@ impl SweepContext<'_> {
                 let _ = std::fs::remove_file(path);
             }
             if let Some(obs) = &mut obs {
-                obs.metrics
-                    .counter("sim.instructions", result.instructions());
-                obs.metrics
-                    .counter("sim.conditional_branches", result.conditional_branches());
-                obs.metrics
-                    .counter("sim.mispredictions", result.mispredictions());
-                if let Some(introspect) = predictor.introspection() {
-                    introspect.introspect(&mut obs.metrics);
-                }
+                obs.record_run(&result, predictor.as_ref());
             }
             Ok((
                 JobRecord {
@@ -1337,10 +1327,10 @@ impl SweepContext<'_> {
                     );
                 }
                 Err(AttemptError::Killed(records)) => {
-                    // The simulated process death: no retry, and the
-                    // caller's journal checkpoint is suppressed too —
-                    // a real SIGKILL leaves only the mid-job snapshot
-                    // on disk for the next run to find.
+                    // The simulated process death: no retry, and no
+                    // journal line, since the job is not `ok` — a real
+                    // SIGKILL leaves only the mid-job snapshot on disk
+                    // for the next run to find.
                     self.emit(
                         Event::new("killed")
                             .num("job", job as u64)
@@ -1398,15 +1388,10 @@ impl SweepContext<'_> {
         )
     }
 
-    /// Journals a completed job; journal write failures degrade to a
-    /// warning (the sweep's in-memory results are unaffected).
+    /// Journals a finished job (only an `ok` job writes a line); journal
+    /// write failures degrade to a warning (the sweep's in-memory results
+    /// are unaffected).
     fn checkpoint(&self, job: usize, outcome: &JobOutcome) {
-        // A killed job models a process death: a real SIGKILL would
-        // never reach the journal, so the simulated one must not
-        // either — the next run should see only the mid-job snapshot.
-        if matches!(outcome.status, JobStatus::Killed) {
-            return;
-        }
         if let Some(journal) = &self.journal {
             if let Err(e) = journal.record(job, outcome) {
                 eprintln!("warning: sweep checkpoint write failed: {e}");
@@ -1473,24 +1458,21 @@ pub fn sweep_inputs(
     let n_jobs = specs.len() * n_traces;
     let matrix = journal::matrix_id(&series, inputs, options.interval_insts);
 
-    // Resume: restore completed jobs recorded for this exact matrix.
-    let mut restored: BTreeMap<usize, JobOutcome> = BTreeMap::new();
-    if let Some(path) = &options.resume_from {
-        let loaded = Journal::load(path, matrix)?;
-        restored = loaded.completed();
-        restored.retain(|job, _| *job < n_jobs);
-    }
+    // Resume: restore finished jobs recorded for this exact matrix.
+    let mut restored = match &options.resume_from {
+        Some(path) => Journal::load(path, matrix)?,
+        None => BTreeMap::new(),
+    };
+    restored.retain(|job, _| *job < n_jobs);
     let resumed = restored.len();
 
-    // Checkpoint journal: append when resuming from the same file so
-    // earlier completions are preserved, otherwise start fresh.
-    let journal_handle = match &options.journal {
-        Some(path) if options.resume_from.as_deref() == Some(path.as_path()) => {
-            Some(Journal::append_to(path)?)
-        }
-        Some(path) => Some(Journal::create(path, matrix, n_jobs)?),
-        None => None,
-    };
+    // The journal starts with every restored job, so it is a whole
+    // resume record whichever file the run resumed from.
+    let journal_handle = options
+        .journal
+        .as_deref()
+        .map(|path| Journal::create(path, matrix, &restored))
+        .transpose()?;
 
     let pending: Vec<usize> = (0..n_jobs).filter(|j| !restored.contains_key(j)).collect();
 

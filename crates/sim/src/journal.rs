@@ -1,44 +1,37 @@
-//! The sweep checkpoint journal: completed-job records appended as each
-//! job finishes, so an interrupted or partially-failed campaign can be
-//! resumed without redoing finished work.
+//! The sweep resume journal: every job that finished `ok`, so an
+//! interrupted or partially-failed campaign can be resumed without
+//! redoing finished work.
 //!
-//! The format, `bfbp-journal/3`, is JSON lines: a header, then one object
-//! per finished job or mid-job checkpoint, each rendered by
-//! [`crate::json::Object`] and appended in one write, and read back by
-//! [`crate::json::parse_lines`]. Concurrent workers append whole lines
-//! under a lock, and a crash mid-append tears at most the final line,
-//! which the reader drops; every earlier line stays usable.
+//! The format, `bfbp-journal/4`, is JSON lines: a header, then one object
+//! per job that finished `ok`, each rendered by [`crate::json::Object`]
+//! and appended in one write, and read back by
+//! [`crate::json::parse_lines`].
 //!
 //! ```text
-//! {"schema": "bfbp-journal/3", "matrix": "8a1954a98475d090", "jobs": 80}
-//! {"job": 0, "ckpt": {"records": 8192, "file": "ckpts/job-0.ckpt"}}
-//! {"job": 0, "status": "ok", "attempts": 1, "wall_us": 8946, "trace": "SPEC00", "predictor": "gshare-16h", "cond": 3000, "misp": 191, "insts": 18439, "intervals": [[18439, 3000, 191]]}
-//! {"job": 1, "status": "failed", "attempts": 3, "error": "panic: boom"}
-//! {"job": 2, "status": "timed_out", "attempts": 1}
-//! {"job": 3, "status": "killed", "attempts": 1}
-//! {"job": 4, "status": "skipped", "attempts": 0}
+//! {"schema": "bfbp-journal/4", "matrix": "8a1954a98475d090"}
+//! {"job": 0, "attempts": 1, "wall_us": 8946, "trace": "SPEC00", "predictor": "gshare-16h", "cond": 3000, "misp": 191, "insts": 18439, "intervals": [[18439, 3000, 191]]}
 //! ```
 //!
-//! The status keywords are [`JobStatus::name`]'s, and an `ok` line's
-//! `intervals` are `[instructions, conditional branches, mispredictions]`
-//! triples. The `matrix` field ([`matrix_id`]) fingerprints the (spec ×
-//! trace × interval) matrix, trace lengths included. It is a string of 16
-//! hex digits, not a number, because half of all ids exceed `i64::MAX`
-//! and a JSON number that large does not survive
-//! [`crate::json::JsonValue`] exactly. [`Journal::load`] refuses to
-//! resume a journal recorded for a different matrix, because job indices
-//! would silently point at different work, and a missing or torn header
-//! is an error, never a dropped line. The last line per job wins, and
-//! only `ok` records are restored on resume — failed, timed-out, killed,
-//! and skipped jobs are re-run.
+//! A job line's `intervals` are `[instructions, conditional branches,
+//! mispredictions]` triples. The `matrix` field ([`matrix_id`])
+//! fingerprints the (spec × trace × interval) matrix, trace lengths
+//! included. It is a string of 16 hex digits, not a number, because half
+//! of all ids exceed `i64::MAX` and a JSON number that large does not
+//! survive [`crate::json::JsonValue`] exactly. [`Journal::load`] refuses
+//! to resume a journal recorded for a different matrix, because job
+//! indices would silently point at different work, and a missing or
+//! torn header is an error, never a dropped line.
 //!
-//! A `ckpt` line references the latest mid-job `bfbp-ckpt/1` snapshot
-//! file written for a still-running job (so an operator can see where a
-//! crashed campaign would resume from), and `killed` records a
-//! fault-injected simulated process death. The engine never writes
-//! `killed` in practice — a killed job deliberately leaves **no**
-//! terminal entry, exactly like a real SIGKILL — but the codec is total
-//! over [`JobStatus`] so round-trips stay lossless.
+//! The journal holds exactly what a resume reads. Failed, timed-out,
+//! skipped and killed jobs write no line, because a resume re-runs them
+//! anyway; a killed job models a process death, which would leave only
+//! its mid-job checkpoint on disk. Concurrent workers append whole lines
+//! under a lock, and the last line per job wins on load. A crash
+//! mid-append tears at most the final line, which the reader drops.
+//! [`Journal::create`] starts every journal, resumed or not, by writing
+//! the header and the restored jobs to a new file that replaces the old
+//! one atomically: a torn line is dropped there, and a resume into
+//! another file carries every finished job with it.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -50,12 +43,13 @@ use std::time::Duration;
 
 use bfbp_trace::format::Fnv;
 
+use crate::ckpt::write_atomic;
 use crate::engine::{JobOutcome, JobRecord, JobStatus, SeriesInfo, TraceInput};
 use crate::json::{array, parse_lines, JsonValue, Object};
 use crate::simulate::{IntervalPoint, SimResult};
 
 /// Journal format identifier (the header's `schema`).
-pub const JOURNAL_SCHEMA: &str = "bfbp-journal/3";
+pub const JOURNAL_SCHEMA: &str = "bfbp-journal/4";
 /// Why a journal could not be written, read, or matched to a sweep.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum JournalError {
@@ -130,38 +124,34 @@ pub fn matrix_id(series: &[SeriesInfo], inputs: &[TraceInput], interval_insts: u
     hash.finish()
 }
 
-/// Renders one finished job as a journal line.
-fn entry_line(job: usize, outcome: &JobOutcome) -> Object {
+/// Renders job `job`'s line and its newline, when the job finished `ok`.
+fn job_line(job: usize, outcome: &JobOutcome) -> Option<String> {
+    let JobStatus::Ok(record) = &outcome.status else {
+        return None;
+    };
+    let r = &record.result;
+    let intervals = record
+        .intervals
+        .iter()
+        .map(|iv| array([iv.instructions, iv.conditional_branches, iv.mispredictions]));
     let line = Object::new()
         .member("job", job)
-        .str("status", outcome.status.name())
-        .member("attempts", outcome.attempts);
-    match &outcome.status {
-        JobStatus::Ok(record) => {
-            let r = &record.result;
-            let intervals = record
-                .intervals
-                .iter()
-                .map(|iv| array([iv.instructions, iv.conditional_branches, iv.mispredictions]));
-            line.member("wall_us", record.wall.as_micros())
-                .str("trace", r.trace_name())
-                .str("predictor", r.predictor_name())
-                .member("cond", r.conditional_branches())
-                .member("misp", r.mispredictions())
-                .member("insts", r.instructions())
-                .member("intervals", array(intervals))
-        }
-        JobStatus::Failed { error } => line.str("error", error),
-        JobStatus::TimedOut | JobStatus::Killed | JobStatus::Skipped => line,
-    }
+        .member("attempts", outcome.attempts)
+        .member("wall_us", record.wall.as_micros())
+        .str("trace", r.trace_name())
+        .str("predictor", r.predictor_name())
+        .member("cond", r.conditional_branches())
+        .member("misp", r.mispredictions())
+        .member("insts", r.instructions())
+        .member("intervals", array(intervals));
+    Some(format!("{line}\n"))
 }
 
 /// One decoded journal line.
 enum Line {
     /// The header's matrix id.
     Header(u64),
-    Entry(usize, JobOutcome),
-    Ckpt(usize, CkptRef),
+    Job(usize, JobOutcome),
 }
 
 fn u64_at(value: &JsonValue, key: &str) -> Result<u64, String> {
@@ -189,8 +179,7 @@ fn interval(item: &JsonValue) -> Option<IntervalPoint> {
     }
 }
 
-/// Decodes line `line` (1-based): the header on line 1, a job's entry or
-/// `ckpt` reference after it.
+/// Decodes line `line` (1-based): the header on line 1, a job after it.
 fn decode_line(line: usize, value: JsonValue) -> Result<Line, String> {
     if line == 1 {
         let schema = str_at(&value, "schema")?;
@@ -203,85 +192,36 @@ fn decode_line(line: usize, value: JsonValue) -> Result<Line, String> {
             .map_err(|_| format!("bad matrix id {matrix:?}"));
     }
     let job = usize::try_from(u64_at(&value, "job")?).map_err(|e| e.to_string())?;
-    if let Some(ckpt) = value.get("ckpt") {
-        let records = u64_at(ckpt, "records")?;
-        let file = PathBuf::from(str_at(ckpt, "file")?);
-        return Ok(Line::Ckpt(job, CkptRef { records, file }));
-    }
     let attempts = u32::try_from(u64_at(&value, "attempts")?).map_err(|e| e.to_string())?;
-    let status = match str_at(&value, "status")? {
-        "ok" => {
-            let intervals = value
-                .get("intervals")
-                .and_then(JsonValue::as_arr)
-                .and_then(|items| items.iter().map(interval).collect::<Option<Vec<_>>>())
-                .ok_or("missing or malformed \"intervals\"")?;
-            let result = SimResult::from_counts(
-                str_at(&value, "trace")?,
-                str_at(&value, "predictor")?,
-                u64_at(&value, "cond")?,
-                u64_at(&value, "misp")?,
-                u64_at(&value, "insts")?,
-            );
-            JobStatus::Ok(JobRecord {
-                result,
-                intervals,
-                wall: Duration::from_micros(u64_at(&value, "wall_us")?),
-            })
-        }
-        "failed" => JobStatus::Failed {
-            error: str_at(&value, "error")?.to_owned(),
-        },
-        "timed_out" => JobStatus::TimedOut,
-        "killed" => JobStatus::Killed,
-        "skipped" => JobStatus::Skipped,
-        other => return Err(format!("unknown status {other:?}")),
+    let intervals = value
+        .get("intervals")
+        .and_then(JsonValue::as_arr)
+        .and_then(|items| items.iter().map(interval).collect::<Option<Vec<_>>>())
+        .ok_or("missing or malformed \"intervals\"")?;
+    let result = SimResult::from_counts(
+        str_at(&value, "trace")?,
+        str_at(&value, "predictor")?,
+        u64_at(&value, "cond")?,
+        u64_at(&value, "misp")?,
+        u64_at(&value, "insts")?,
+    );
+    let wall = Duration::from_micros(u64_at(&value, "wall_us")?);
+    let record = JobRecord {
+        result,
+        intervals,
+        wall,
     };
-    let wall = match &status {
-        JobStatus::Ok(record) => record.wall,
-        _ => Duration::ZERO,
-    };
-    Ok(Line::Entry(
+    Ok(Line::Job(
         job,
         JobOutcome {
-            status,
+            status: JobStatus::Ok(record),
             attempts,
             wall,
         },
     ))
 }
 
-/// Reference to the latest mid-job checkpoint recorded for a job.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CkptRef {
-    /// Trace records the checkpoint covers.
-    pub records: u64,
-    /// Path of the `bfbp-ckpt/1` file, as recorded.
-    pub file: PathBuf,
-}
-
-/// Everything read back from a journal file.
-#[derive(Debug)]
-pub struct LoadedJournal {
-    /// Last recorded outcome per job index (all statuses).
-    pub entries: BTreeMap<usize, JobOutcome>,
-    /// Last mid-job checkpoint reference per job index.
-    pub checkpoints: BTreeMap<usize, CkptRef>,
-}
-
-impl LoadedJournal {
-    /// The subset of entries that finished successfully — the jobs a
-    /// resume run restores instead of re-running.
-    pub fn completed(&self) -> BTreeMap<usize, JobOutcome> {
-        self.entries
-            .iter()
-            .filter(|(_, o)| o.is_ok())
-            .map(|(j, o)| (*j, o.clone()))
-            .collect()
-    }
-}
-
-/// Append-mode checkpoint writer shared across sweep workers.
+/// The resume journal of one sweep, shared across its workers.
 ///
 /// The file handle sits behind a `Mutex`; a worker that panics while
 /// holding the lock (it cannot — appends don't panic — but belt and
@@ -294,35 +234,26 @@ pub struct Journal {
 }
 
 impl Journal {
-    /// Creates (truncates) a journal and writes the header.
+    /// Starts the journal at `path` for the matrix `matrix_id`: the
+    /// header and every `restored` job, in job order, go to a new file
+    /// that replaces `path` atomically and is synced once, and later
+    /// [`Journal::record`] calls append to it. A resume onto the journal
+    /// it read from rewrites that file without a torn final line.
     ///
     /// # Errors
     ///
-    /// Returns an error if the file cannot be created or written.
-    pub fn create(path: &Path, matrix_id: u64, n_jobs: usize) -> Result<Self, JournalError> {
-        if let Some(parent) = path.parent().filter(|p| !p.as_os_str().is_empty()) {
-            std::fs::create_dir_all(parent).map_err(|e| io_err(path, e))?;
-        }
-        let file = File::create(path).map_err(|e| io_err(path, e))?;
-        let journal = Self {
-            path: path.to_owned(),
-            file: Mutex::new(file),
-        };
-        journal.append(
-            &Object::new()
-                .str("schema", JOURNAL_SCHEMA)
-                .str("matrix", &format!("{matrix_id:016x}"))
-                .member("jobs", n_jobs),
-        )?;
-        Ok(journal)
-    }
-
-    /// Opens an existing journal for appending (header left untouched).
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if the file cannot be opened.
-    pub fn append_to(path: &Path) -> Result<Self, JournalError> {
+    /// Returns an error if the file cannot be written or reopened.
+    pub fn create(
+        path: &Path,
+        matrix_id: u64,
+        restored: &BTreeMap<usize, JobOutcome>,
+    ) -> Result<Self, JournalError> {
+        let header = Object::new()
+            .str("schema", JOURNAL_SCHEMA)
+            .str("matrix", &format!("{matrix_id:016x}"));
+        let mut text = format!("{header}\n");
+        text.extend(restored.iter().filter_map(|(&job, o)| job_line(job, o)));
+        write_atomic(path, text.as_bytes()).map_err(|e| io_err(path, e))?;
         let file = OpenOptions::new()
             .append(true)
             .open(path)
@@ -333,9 +264,17 @@ impl Journal {
         })
     }
 
-    /// Appends `line` and its newline in one write, then flushes.
-    fn append(&self, line: &Object) -> Result<(), JournalError> {
-        let line = format!("{line}\n");
+    /// Appends job `job`'s line and flushes, so the finished job
+    /// survives a crash right after it; a job that did not finish `ok`
+    /// writes nothing.
+    ///
+    /// # Errors
+    ///
+    /// Returns an error if the append fails.
+    pub fn record(&self, job: usize, outcome: &JobOutcome) -> Result<(), JournalError> {
+        let Some(line) = job_line(job, outcome) else {
+            return Ok(());
+        };
         // Recover a poisoned lock: the file is still valid, the worst
         // case is one duplicated line, and last-wins load semantics
         // absorb duplicates.
@@ -345,40 +284,19 @@ impl Journal {
             .map_err(|e| io_err(&self.path, e))
     }
 
-    /// Appends one completed-job record and flushes, so the checkpoint
-    /// survives a crash immediately after the job finished.
+    /// Reads the finished jobs back, verifying the header against
+    /// `expect_matrix` and keeping the last line per job. A torn final
+    /// line (crash artifact) is dropped; any other malformed line is an
+    /// error, and so is a missing or torn header, which is never dropped.
     ///
     /// # Errors
     ///
-    /// Returns an error if the append fails.
-    pub fn record(&self, job: usize, outcome: &JobOutcome) -> Result<(), JournalError> {
-        self.append(&entry_line(job, outcome))
-    }
-
-    /// Appends a mid-job checkpoint reference and flushes, so the latest
-    /// resume point of every in-flight job is visible even after a hard
-    /// crash of the whole sweep process.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if the append fails.
-    pub fn record_ckpt(&self, job: usize, records: u64, file: &Path) -> Result<(), JournalError> {
-        let ckpt = Object::new()
-            .member("records", records)
-            .str("file", &file.display().to_string());
-        self.append(&Object::new().member("job", job).member("ckpt", ckpt))
-    }
-
-    /// Reads a journal back, verifying its header against `expect_matrix`
-    /// and keeping the last line per job. A torn final line (crash
-    /// artifact) is dropped; any other malformed line is an error, and so
-    /// is a missing or torn header, which is never dropped.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error on I/O failure, a malformed header or entry, or
-    /// a matrix fingerprint mismatch.
-    pub fn load(path: &Path, expect_matrix: u64) -> Result<LoadedJournal, JournalError> {
+    /// Returns an error on I/O failure, a malformed header or job line,
+    /// or a matrix fingerprint mismatch.
+    pub fn load(
+        path: &Path,
+        expect_matrix: u64,
+    ) -> Result<BTreeMap<usize, JobOutcome>, JournalError> {
         let text = std::fs::read(path).map_err(|e| io_err(path, e))?;
         let header = |reason| JournalError::Parse {
             line: 1,
@@ -402,24 +320,14 @@ impl Journal {
                 found,
             });
         }
-        let mut entries = BTreeMap::new();
-        let mut checkpoints = BTreeMap::new();
+        let mut jobs = BTreeMap::new();
+        // Only line 1 decodes as a header.
         for line in lines {
-            match line {
-                Line::Entry(job, outcome) => {
-                    entries.insert(job, outcome);
-                }
-                Line::Ckpt(job, ckpt) => {
-                    checkpoints.insert(job, ckpt);
-                }
-                // Only line 1 decodes as a header.
-                Line::Header(_) => {}
+            if let Line::Job(job, outcome) = line {
+                jobs.insert(job, outcome);
             }
         }
-        Ok(LoadedJournal {
-            entries,
-            checkpoints,
-        })
+        Ok(jobs)
     }
 }
 
@@ -428,34 +336,40 @@ mod tests {
     use super::*;
 
     fn ok_outcome() -> JobOutcome {
-        JobOutcome {
-            status: JobStatus::Ok(JobRecord {
-                result: SimResult::from_counts("INT 1%x", "gshare", 100, 7, 2000),
-                intervals: vec![
-                    IntervalPoint {
-                        instructions: 1000,
-                        conditional_branches: 50,
-                        mispredictions: 3,
-                    },
-                    IntervalPoint {
-                        instructions: 1000,
-                        conditional_branches: 50,
-                        mispredictions: 4,
-                    },
-                ],
-                wall: Duration::from_micros(1234),
-            }),
-            attempts: 2,
+        ok("INT 1%x", "gshare", 2)
+    }
+
+    /// An `ok` outcome on `trace` and `predictor` with two intervals.
+    fn ok(trace: &str, predictor: &str, attempts: u32) -> JobOutcome {
+        let record = JobRecord {
+            result: SimResult::from_counts(trace, predictor, 100, 7, 2000),
+            intervals: vec![
+                IntervalPoint {
+                    instructions: 1000,
+                    conditional_branches: 50,
+                    mispredictions: 3,
+                },
+                IntervalPoint {
+                    instructions: 1000,
+                    conditional_branches: 50,
+                    mispredictions: 4,
+                },
+            ],
             wall: Duration::from_micros(1234),
+        };
+        JobOutcome {
+            wall: record.wall,
+            status: JobStatus::Ok(record),
+            attempts,
         }
     }
 
-    /// An outcome without a record, whose wall time is not journaled.
+    /// An outcome without a record.
     fn outcome(status: JobStatus, attempts: u32) -> JobOutcome {
         JobOutcome {
             status,
             attempts,
-            wall: Duration::ZERO,
+            wall: Duration::from_micros(99),
         }
     }
 
@@ -467,29 +381,30 @@ mod tests {
         dir
     }
 
-    /// Every status, and awkward text in every free-text field, round
-    /// trips exactly: quotes, backslashes, control characters, tabs,
-    /// newlines, non-ASCII text, spaces and `%`.
+    fn no_jobs() -> BTreeMap<usize, JobOutcome> {
+        BTreeMap::new()
+    }
+
+    /// Awkward text in the trace and predictor names round trips
+    /// exactly: quotes, backslashes, control characters, tabs, newlines,
+    /// non-ASCII text, spaces and `%`. Jobs that did not finish `ok`
+    /// write nothing, and a journal started from the loaded jobs holds
+    /// the same lines.
     #[test]
-    fn entries_round_trip_every_status() {
+    fn ok_jobs_round_trip_and_other_statuses_write_nothing() {
         let dir = scratch("statuses");
         let path = dir.join("run.journal");
-        let awkward_ok = JobOutcome {
-            status: JobStatus::Ok(JobRecord {
-                result: SimResult::from_counts("INT 1 %20 x", "bf tage 100%", 10, 1, 100),
-                intervals: Vec::new(),
-                wall: Duration::from_micros(9),
-            }),
-            attempts: 1,
-            wall: Duration::from_micros(9),
-        };
+        let awkward = ok(
+            "INT \"1\" back\\slash \u{1} tab\there %20",
+            "new\nline, naïve ✓ 100%",
+            1,
+        );
         let outcomes = [
             ok_outcome(),
-            awkward_ok,
+            awkward,
             outcome(
                 JobStatus::Failed {
-                    error: "panic: \"quoted\" back\\slash \u{1} tab\there\nnew line, naïve ✓ 100%"
-                        .into(),
+                    error: "panic: boom".into(),
                 },
                 3,
             ),
@@ -497,70 +412,48 @@ mod tests {
             outcome(JobStatus::Skipped, 0),
             outcome(JobStatus::Killed, 1),
         ];
-        let file = Path::new("ck dir/with spaces/job-0.ckpt");
-        let journal = Journal::create(&path, 7, outcomes.len()).unwrap();
-        journal.record_ckpt(0, 4096, file).unwrap();
+        let journal = Journal::create(&path, 7, &no_jobs()).unwrap();
         for (job, outcome) in outcomes.iter().enumerate() {
             journal.record(job, outcome).unwrap();
         }
         drop(journal);
         let text = std::fs::read_to_string(&path).unwrap();
-        assert_eq!(text.split('\n').count(), 3 + outcomes.len(), "{text}");
+        assert_eq!(text.matches('\n').count(), 3, "{text}");
         assert!(
-            text.starts_with("{\"schema\": \"bfbp-journal/3\", "),
+            text.starts_with(
+                "{\"schema\": \"bfbp-journal/4\", \"matrix\": \"0000000000000007\"}\n"
+            ),
             "{text}"
         );
         let loaded = Journal::load(&path, 7).unwrap();
-        let ckpt = CkptRef {
-            records: 4096,
-            file: file.to_owned(),
-        };
-        assert_eq!(loaded.checkpoints[&0], ckpt);
-        let back: Vec<JobOutcome> = loaded.entries.into_values().collect();
-        assert_eq!(back, outcomes);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
+        let ok_jobs: BTreeMap<usize, JobOutcome> =
+            outcomes[..2].iter().cloned().enumerate().collect();
+        assert_eq!(loaded, ok_jobs);
 
-    /// The journal of the golden fixture: job `k` on line `k + 2`, one
-    /// line of every kind, and the `ckpt` line last.
-    fn every_line_kind(path: &Path) {
-        let journal = Journal::create(path, 0xfeed_beef_0000_0001, 6).unwrap();
-        let ok = JobStatus::Ok(JobRecord {
-            result: SimResult::from_counts("INT 1", "bf-tage", 4000, 77, 40_000),
-            intervals: vec![
-                IntervalPoint {
-                    instructions: 20_000,
-                    conditional_branches: 2000,
-                    mispredictions: 40,
-                },
-                IntervalPoint {
-                    instructions: 20_000,
-                    conditional_branches: 2000,
-                    mispredictions: 37,
-                },
-            ],
-            wall: Duration::from_micros(5678),
-        });
-        let failed = JobStatus::Failed {
-            error: "panic: 100% broken\n\tat x".to_owned(),
-        };
-        journal.record(0, &outcome(ok, 1)).unwrap();
-        journal.record(1, &outcome(failed, 3)).unwrap();
-        journal.record(2, &outcome(JobStatus::TimedOut, 2)).unwrap();
-        journal.record(3, &outcome(JobStatus::Killed, 1)).unwrap();
-        journal.record(4, &outcome(JobStatus::Skipped, 0)).unwrap();
-        journal
-            .record_ckpt(5, 8192, Path::new("ckpts dir/job-5.ckpt"))
-            .unwrap();
+        // Starting a journal from the loaded jobs writes the same bytes,
+        // into the file they came from or into another.
+        let copy = dir.join("copy.journal");
+        drop(Journal::create(&copy, 7, &loaded).unwrap());
+        drop(Journal::create(&path, 7, &loaded).unwrap());
+        assert_eq!(std::fs::read_to_string(&copy).unwrap(), text);
+        assert_eq!(std::fs::read_to_string(&path).unwrap(), text);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn every_prefix_loads_its_complete_lines_or_fails_in_the_header() {
         let dir = scratch("prefix");
         let path = dir.join("run.journal");
-        every_line_kind(&path);
+        let matrix = 0xfeed_beef_0000_0001;
+        let journal = Journal::create(&path, matrix, &no_jobs()).unwrap();
+        for job in [0, 2, 5] {
+            journal
+                .record(job, &ok(&format!("T {job}"), "bf-tage", 1))
+                .unwrap();
+        }
+        drop(journal);
         let full = std::fs::read(&path).unwrap();
-        let whole = Journal::load(&path, 0xfeed_beef_0000_0001).unwrap();
+        let whole = Journal::load(&path, matrix).unwrap();
         // The byte offset just past each line's closing brace.
         let mut ends = Vec::new();
         let mut start = 0;
@@ -568,10 +461,10 @@ mod tests {
             ends.push(start + line.len());
             start += line.len() + 1;
         }
-        assert_eq!(ends.len(), 7);
+        assert_eq!(ends.len(), 4);
         for cut in 0..=full.len() {
             std::fs::write(&path, &full[..cut]).unwrap();
-            let loaded = Journal::load(&path, 0xfeed_beef_0000_0001);
+            let loaded = Journal::load(&path, matrix);
             if cut < ends[0] {
                 assert!(
                     matches!(loaded, Err(JournalError::Parse { line: 1, .. })),
@@ -580,21 +473,13 @@ mod tests {
                 continue;
             }
             let loaded = loaded.unwrap_or_else(|e| panic!("cut {cut}: {e}"));
-            let complete = |job: &usize| ends[job + 1] <= cut;
-            let entries: BTreeMap<_, _> = whole
-                .entries
+            let complete = ends[1..].iter().filter(|&&end| end <= cut).count();
+            let expected: BTreeMap<_, _> = whole
                 .iter()
-                .filter(|(job, _)| complete(job))
+                .take(complete)
                 .map(|(job, o)| (*job, o.clone()))
                 .collect();
-            let checkpoints: BTreeMap<_, _> = whole
-                .checkpoints
-                .iter()
-                .filter(|(job, _)| complete(job))
-                .map(|(job, c)| (*job, c.clone()))
-                .collect();
-            assert_eq!(loaded.entries, entries, "cut {cut}");
-            assert_eq!(loaded.checkpoints, checkpoints, "cut {cut}");
+            assert_eq!(loaded, expected, "cut {cut}");
         }
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -603,14 +488,8 @@ mod tests {
     fn journal_file_round_trip_last_wins_and_torn_tail() {
         let dir = scratch("last-wins");
         let path = dir.join("run.journal");
-        let journal = Journal::create(&path, 0xDEAD_BEEF, 4).unwrap();
-        let failed = outcome(
-            JobStatus::Failed {
-                error: "first attempt".into(),
-            },
-            1,
-        );
-        journal.record(0, &failed).unwrap();
+        let journal = Journal::create(&path, 0xDEAD_BEEF, &no_jobs()).unwrap();
+        journal.record(0, &ok("first", "gshare", 1)).unwrap();
         journal.record(1, &ok_outcome()).unwrap();
         journal.record(0, &ok_outcome()).unwrap(); // last wins
         drop(journal);
@@ -618,18 +497,19 @@ mod tests {
         // Torn tail: half a line without its newline.
         {
             let mut f = OpenOptions::new().append(true).open(&path).unwrap();
-            write!(
-                f,
-                "{{\"job\": 2, \"status\": \"ok\", \"attempts\": 1, \"trace\": \"t"
-            )
-            .unwrap();
+            write!(f, "{{\"job\": 2, \"attempts\": 1, \"trace\": \"t").unwrap();
         }
 
         let loaded = Journal::load(&path, 0xDEAD_BEEF).unwrap();
-        assert_eq!(loaded.entries.len(), 2);
-        assert!(loaded.entries[&0].is_ok(), "last entry for job 0 wins");
-        let completed = loaded.completed();
-        assert_eq!(completed.len(), 2);
+        assert_eq!(loaded.len(), 2);
+        assert_eq!(loaded[&0], ok_outcome(), "last entry for job 0 wins");
+
+        // Starting a journal drops the torn line, so the next append
+        // starts a line of its own.
+        let journal = Journal::create(&path, 0xDEAD_BEEF, &loaded).unwrap();
+        journal.record(2, &ok_outcome()).unwrap();
+        drop(journal);
+        assert_eq!(Journal::load(&path, 0xDEAD_BEEF).unwrap().len(), 3);
 
         assert_eq!(
             Journal::load(&path, 0x1234).unwrap_err(),
@@ -645,10 +525,10 @@ mod tests {
     fn the_largest_matrix_id_loads_and_matches() {
         let dir = scratch("max");
         let path = dir.join("run.journal");
-        drop(Journal::create(&path, u64::MAX, 1).unwrap());
+        drop(Journal::create(&path, u64::MAX, &no_jobs()).unwrap());
         let text = std::fs::read_to_string(&path).unwrap();
         assert!(text.contains("\"matrix\": \"ffffffffffffffff\""), "{text}");
-        assert!(Journal::load(&path, u64::MAX).unwrap().entries.is_empty());
+        assert!(Journal::load(&path, u64::MAX).unwrap().is_empty());
         assert_eq!(
             Journal::load(&path, u64::MAX - 1).unwrap_err(),
             JournalError::MatrixMismatch {
@@ -672,9 +552,9 @@ mod tests {
         std::fs::write(
             &path,
             format!(
-                "{{\"schema\": \"{JOURNAL_SCHEMA}\", \"matrix\": \"0000000000000001\", \"jobs\": 2}}\n\
+                "{{\"schema\": \"{JOURNAL_SCHEMA}\", \"matrix\": \"0000000000000001\"}}\n\
                  garbage line zero\n\
-                 {{\"job\": 1, \"status\": \"skipped\", \"attempts\": 0}}\n"
+                 {{\"job\": 1, \"attempts\": 0}}\n"
             ),
         )
         .unwrap();
@@ -693,52 +573,25 @@ mod tests {
     fn an_older_journal_fails_naming_the_schema_it_wants() {
         let dir = scratch("older");
         let path = dir.join("old.journal");
-        let header = "bfbp-journal/2 matrix=0000000000000001 jobs=2\n";
+        let v2 = "bfbp-journal/2 matrix=0000000000000001 jobs=2\n";
+        let v3 =
+            "{\"schema\": \"bfbp-journal/3\", \"matrix\": \"0000000000000001\", \"jobs\": 2}\n";
         for text in [
-            header.to_owned(),
-            format!("{header}skipped 1\nok 0 attempts=1\n"),
+            v2.to_owned(),
+            format!("{v2}skipped 1\nok 0 attempts=1\n"),
             "{\"schema\": \"bfbp-journal/2\", \"matrix\": \"0000000000000001\"}\n".to_owned(),
+            v3.to_owned(),
+            format!("{v3}{{\"job\": 1, \"status\": \"skipped\", \"attempts\": 0}}\n"),
             String::new(),
         ] {
             std::fs::write(&path, &text).unwrap();
             match Journal::load(&path, 1) {
                 Err(JournalError::Parse { line: 1, reason }) => {
-                    assert!(reason.contains("bfbp-journal/3"), "{text:?}: {reason}")
+                    assert!(reason.contains("bfbp-journal/4"), "{text:?}: {reason}")
                 }
                 other => panic!("{text:?}: {other:?}"),
             }
         }
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn ckpt_refs_round_trip_and_load_last_wins() {
-        let dir = scratch("ckpt");
-        let path = dir.join("run.journal");
-        let journal = Journal::create(&path, 0xC0FFEE, 2).unwrap();
-        journal
-            .record_ckpt(0, 1000, Path::new("ck/job-0.ckpt"))
-            .unwrap();
-        journal
-            .record_ckpt(1, 1000, Path::new("ck/job-1.ckpt"))
-            .unwrap();
-        journal
-            .record_ckpt(0, 2000, Path::new("ck/job-0.ckpt"))
-            .unwrap();
-        journal.record(1, &ok_outcome()).unwrap();
-        drop(journal);
-        let loaded = Journal::load(&path, 0xC0FFEE).unwrap();
-        assert_eq!(loaded.checkpoints.len(), 2);
-        assert_eq!(loaded.checkpoints[&0].records, 2000, "last ckpt ref wins");
-        assert_eq!(loaded.entries.len(), 1);
-
-        // A torn trailing ckpt line is tolerated like a torn entry.
-        {
-            let mut f = OpenOptions::new().append(true).open(&path).unwrap();
-            write!(f, "{{\"job\": 0, \"ckpt\": {{\"records\": ").unwrap();
-        }
-        let reloaded = Journal::load(&path, 0xC0FFEE).unwrap();
-        assert_eq!(reloaded.checkpoints[&0].records, 2000);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

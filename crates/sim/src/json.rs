@@ -305,9 +305,16 @@ impl fmt::Display for JsonError {
 
 impl std::error::Error for JsonError {}
 
+/// How deeply arrays and objects may nest: far above the 7 levels of the
+/// deepest document the workspace writes, and low enough that hostile
+/// input cannot overflow the stack of the recursive parser.
+const MAX_DEPTH: usize = 128;
+
 struct JsonParser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open around `pos`.
+    depth: usize,
 }
 
 impl<'a> JsonParser<'a> {
@@ -349,8 +356,17 @@ impl<'a> JsonParser<'a> {
     fn value(&mut self) -> Result<JsonValue, JsonError> {
         self.skip_ws();
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{' | b'[') if self.depth == MAX_DEPTH => Err(self.err("nested too deeply")),
+            Some(open @ (b'{' | b'[')) => {
+                self.depth += 1;
+                let value = if open == b'{' {
+                    self.object()
+                } else {
+                    self.array()
+                };
+                self.depth -= 1;
+                value
+            }
             Some(b'"') => Ok(JsonValue::Str(self.string()?)),
             Some(b't') => self.literal("true", JsonValue::Bool(true)),
             Some(b'f') => self.literal("false", JsonValue::Bool(false)),
@@ -494,6 +510,7 @@ pub fn parse_json(text: &str) -> Result<JsonValue, JsonError> {
     let mut parser = JsonParser {
         bytes: text.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     let value = parser.value()?;
     parser.skip_ws();
@@ -621,6 +638,26 @@ mod tests {
             .map_err(|e| e.to_string())
             .unwrap_err()
             .is_empty());
+    }
+
+    /// Nesting past the bound is an error, not a stack overflow, however
+    /// deep the input goes; nesting up to it parses.
+    #[test]
+    fn nesting_is_bounded() {
+        let nested = |open: &str, close: &str, depth: usize| {
+            format!("{}0{}", open.repeat(depth), close.repeat(depth))
+        };
+        for (open, close) in [("[", "]"), ("{\"k\": ", "}")] {
+            assert!(
+                parse_json(&nested(open, close, MAX_DEPTH)).is_ok(),
+                "{open}"
+            );
+            let err = parse_json(&nested(open, close, MAX_DEPTH + 1)).unwrap_err();
+            assert_eq!(err.reason, "nested too deeply");
+            assert_eq!(err.offset, MAX_DEPTH * open.len());
+        }
+        let err = parse_json(&"[".repeat(200_000)).unwrap_err();
+        assert_eq!((err.offset, err.reason), (MAX_DEPTH, "nested too deeply"));
     }
 
     #[test]

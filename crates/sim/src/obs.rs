@@ -16,12 +16,10 @@
 //!    timestamps, plus a live stderr [`Progress`] line.
 //!
 //! Every JSON object and event line here is built with [`crate::json`].
-//!
-//! [`SimResult`]: crate::simulate::SimResult
 
 use std::collections::{BTreeMap, HashMap};
-use std::fs::OpenOptions;
-use std::io::Write;
+use std::fs::{File, OpenOptions};
+use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::Path;
 use std::sync::{Mutex, PoisonError};
 use std::time::Instant;
@@ -30,7 +28,8 @@ use bfbp_trace::record::BranchKind;
 
 use crate::ckpt::{CodecError, Restorable, StateReader, StateWriter};
 use crate::json::{array, json_f64, lines, opt, Object};
-use crate::predictor::Provenance;
+use crate::predictor::{ConditionalPredictor, Provenance};
+use crate::simulate::SimResult;
 
 /// Schema identifier of the span/event journal (one JSON object per line).
 pub const EVENTS_SCHEMA: &str = "bfbp-events/1";
@@ -473,6 +472,23 @@ pub struct JobObs {
     pub h2p: H2pTable,
 }
 
+impl JobObs {
+    /// Records a finished run: its `sim.*` totals and `predictor`'s
+    /// introspection. The sweep engine and the `diagnose` binary both
+    /// build their records through it, so the two never diverge.
+    pub fn record_run(&mut self, result: &SimResult, predictor: &dyn ConditionalPredictor) {
+        self.metrics
+            .counter("sim.instructions", result.instructions());
+        self.metrics
+            .counter("sim.conditional_branches", result.conditional_branches());
+        self.metrics
+            .counter("sim.mispredictions", result.mispredictions());
+        if let Some(introspect) = predictor.introspection() {
+            introspect.introspect(&mut self.metrics);
+        }
+    }
+}
+
 /// Renders one job's observability record as a JSON object — the shared
 /// source for both the sweep metrics document and the `diagnose` bin.
 pub fn job_obs_json(series: &str, trace: &str, obs: Option<&JobObs>, top: usize) -> String {
@@ -710,9 +726,33 @@ impl Event {
     }
 }
 
+/// Cuts off the bytes after `file`'s last newline, a final line torn by
+/// a crash mid-append, and returns the length left. A file that ends in
+/// a newline is left as it is.
+fn cut_torn_line(file: &mut File) -> std::io::Result<u64> {
+    let len = file.seek(SeekFrom::End(0))?;
+    let mut end = len;
+    let mut buf = [0u8; 4096];
+    while end > 0 {
+        let start = end.saturating_sub(buf.len() as u64);
+        let chunk = &mut buf[..(end - start) as usize];
+        file.seek(SeekFrom::Start(start))?;
+        file.read_exact(chunk)?;
+        if let Some(i) = chunk.iter().rposition(|&b| b == b'\n') {
+            end = start + i as u64 + 1;
+            break;
+        }
+        end = start;
+    }
+    if end < len {
+        file.set_len(end)?;
+    }
+    Ok(end)
+}
+
 #[derive(Debug)]
 struct EventSink {
-    file: std::fs::File,
+    file: File,
     last_us: u64,
     warned: bool,
 }
@@ -737,7 +777,9 @@ impl EventJournal {
 
     /// Opens the journal at `path` for appending, creating it (with the
     /// header event) only when missing or empty — so several sweeps of a
-    /// campaign can share one journal.
+    /// campaign can share one journal. A torn final line, left by a crash
+    /// mid-append, is cut off first, so the next event starts a line of
+    /// its own.
     pub fn open(path: impl AsRef<Path>) -> std::io::Result<Self> {
         Self::with_options(path.as_ref(), false)
     }
@@ -748,13 +790,14 @@ impl EventJournal {
         if let Some(parent) = path.parent().filter(|p| !p.as_os_str().is_empty()) {
             std::fs::create_dir_all(parent)?;
         }
-        let file = OpenOptions::new()
+        let mut file = OpenOptions::new()
             .create(true)
+            .read(true)
             .write(true)
             .truncate(truncate)
             .append(!truncate)
             .open(path)?;
-        let empty = file.metadata()?.len() == 0;
+        let len = cut_torn_line(&mut file)?;
         let journal = Self {
             start: Instant::now(),
             sink: Mutex::new(EventSink {
@@ -763,7 +806,7 @@ impl EventJournal {
                 warned: false,
             }),
         };
-        if empty {
+        if len == 0 {
             journal.emit(Event::new("journal_open").str("schema", EVENTS_SCHEMA));
         }
         Ok(journal)
@@ -959,6 +1002,21 @@ mod tests {
         let text = std::fs::read_to_string(&path).unwrap();
         assert_eq!(text.matches("journal_open").count(), 1);
         assert_eq!(text.lines().count(), 4);
+        // A torn tail longer than one read block is cut back to the last
+        // complete line before the next event is appended.
+        std::fs::write(&path, format!("{text}{{\"ev\": \"{}", "x".repeat(9000))).unwrap();
+        let journal = EventJournal::open(&path).unwrap();
+        journal.emit(Event::new("sweep_close"));
+        drop(journal);
+        let reopened = std::fs::read_to_string(&path).unwrap();
+        let appended = reopened
+            .strip_prefix(text.as_str())
+            .expect("complete lines kept");
+        assert!(
+            appended.starts_with("{\"ev\": \"sweep_close\""),
+            "{appended}"
+        );
+        assert_eq!(appended.lines().count(), 1);
         let _ = std::fs::remove_file(&path);
     }
 

@@ -307,12 +307,12 @@ fn stale_checkpoint_from_a_different_matrix_is_quarantined() {
     );
 }
 
-/// Journal interplay: a killed job is never journaled as terminal (it
-/// is still in flight, like a SIGKILLed process), its checkpoint IS
-/// referenced from the `bfbp-journal/3` file, and a journal resume plus
-/// checkpoint restore reproduces the uninterrupted document.
+/// Journal interplay: a killed job leaves no journal line (it is not
+/// `ok`; like a SIGKILLed process it is still in flight), its checkpoint
+/// stays on disk, and a journal resume plus checkpoint restore
+/// reproduces the uninterrupted document.
 #[test]
-fn killed_jobs_stay_out_of_the_journal_but_their_checkpoints_are_referenced() {
+fn killed_jobs_stay_out_of_the_journal_and_resume_from_their_checkpoints() {
     let registry = bfbp::default_registry();
     let traces = [int1(10_000), {
         suite::find("MM2")
@@ -354,17 +354,14 @@ fn killed_jobs_stay_out_of_the_journal_but_their_checkpoints_are_referenced() {
     );
     let loaded = Journal::load(&journal, matrix).expect("journal loads");
     assert_eq!(
-        loaded.entries.keys().copied().collect::<Vec<_>>(),
+        loaded.keys().copied().collect::<Vec<_>>(),
         vec![0, 1, 3],
-        "the killed job must not be journaled as terminal"
+        "the killed job must not be journaled"
     );
-    let ckpt_ref = loaded
-        .checkpoints
-        .get(&2)
-        .expect("the killed job's checkpoint must be referenced");
-    assert_eq!(ckpt_ref.records, 4_096);
-    assert_eq!(ckpt_ref.file, dir.join("job-2.ckpt"));
-    assert!(ckpt_ref.file.exists());
+    assert!(
+        dir.join("job-2.ckpt").exists(),
+        "the killed job's checkpoint must stay on disk"
+    );
 
     // Resume: jobs 0, 1, 3 restore from the journal; job 2 restores
     // mid-trace from its checkpoint and finishes.

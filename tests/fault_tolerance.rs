@@ -85,11 +85,11 @@ fn acceptance_panic_timeout_corruption_then_resume() {
          \"killed\": 0}"
     ));
 
-    // The journal holds the schema header plus one line per job.
+    // The journal holds the schema header plus one line per ok job.
     let round1 = fs::read_to_string(&journal).expect("journal written");
-    assert_eq!(round1.lines().count(), 1 + 4, "{round1}");
+    assert_eq!(round1.lines().count(), 1 + 1, "{round1}");
     assert!(
-        round1.starts_with("{\"schema\": \"bfbp-journal/3\", "),
+        round1.starts_with("{\"schema\": \"bfbp-journal/4\", "),
         "{round1}"
     );
 
@@ -103,17 +103,73 @@ fn acceptance_panic_timeout_corruption_then_resume() {
         1,
         "one job restored, three re-run"
     );
-    let round2 = fs::read_to_string(&journal).expect("journal appended");
+    let round2 = fs::read_to_string(&journal).expect("journal rewritten");
     assert_eq!(
         round2.lines().count(),
-        1 + 4 + 3,
-        "resume must append exactly the three re-executed jobs:\n{round2}"
+        1 + 4,
+        "the resumed journal must hold every job once:\n{round2}"
     );
 
     // The merged document is byte-identical to a run that never failed.
     let healthy =
         sweep(&registry, &specs, &runner, &SweepOptions::default()).expect("healthy sweep");
     assert_eq!(resumed.results_json(), healthy.results_json());
+}
+
+/// A kill in the middle of a journal append leaves a torn final line.
+/// A resume drops it when it starts the journal, so a second resume
+/// still reads every finished job.
+#[test]
+fn a_torn_journal_line_survives_two_resumes() {
+    let registry = bfbp::default_registry();
+    let runner = small_runner();
+    let specs = small_specs();
+    let journal = scratch("torn.journal");
+    let run = |options: SweepOptions| {
+        sweep(&registry, &specs, &runner, &options.with_threads(2)).expect("sweep")
+    };
+
+    let first = run(SweepOptions::default()
+        .with_journal(&journal)
+        .with_fault_plan(FaultPlan::new().panic_at(1).panic_at(2)));
+    assert_eq!(first.summary().ok, 2);
+    let mut torn = fs::read(&journal).expect("journal written");
+    torn.extend_from_slice(b"{\"job\": 7, \"attem");
+    fs::write(&journal, torn).expect("tear the journal");
+
+    let second = run(SweepOptions::default()
+        .resuming(&journal)
+        .with_fault_plan(FaultPlan::new().panic_at(2)));
+    assert_eq!(second.summary().resumed, 2);
+    assert_eq!(second.summary().ok, 3);
+
+    let third = run(SweepOptions::default().resuming(&journal));
+    assert_eq!(third.summary().resumed, 3);
+    assert!(third.is_fully_ok());
+    let clean = run(SweepOptions::default());
+    assert_eq!(third.results_json(), clean.results_json());
+}
+
+/// A resume that journals to another file carries every finished job
+/// into it, so a resume from that file restores the whole matrix.
+#[test]
+fn a_resume_into_another_journal_carries_every_finished_job() {
+    let registry = bfbp::default_registry();
+    let runner = small_runner();
+    let specs = small_specs();
+    let (p, q) = (scratch("p.journal"), scratch("q.journal"));
+    let run = |options: &SweepOptions| sweep(&registry, &specs, &runner, options).expect("sweep");
+
+    run(&SweepOptions::default()
+        .with_journal(&p)
+        .with_fault_plan(FaultPlan::new().panic_at(1)));
+    let into_q = run(&SweepOptions::default().resuming(&p).with_journal(&q));
+    assert_eq!(into_q.summary().resumed, 3);
+    assert!(into_q.is_fully_ok());
+
+    let from_q = run(&SweepOptions::default().resuming(&q));
+    assert_eq!(from_q.summary().resumed, 4, "every job restores from Q");
+    assert_eq!(from_q.results_json(), into_q.results_json());
 }
 
 /// Every `TraceFormatError` variant, injected into one job, must fail

@@ -12,6 +12,7 @@ use bfbp::sim::engine::{sweep, JobStatus, RetryPolicy, SweepOptions};
 use bfbp::sim::fault::FaultPlan;
 use bfbp::sim::forensics::{chrome_trace, parse_events, read_events};
 use bfbp::sim::json::{parse_json, JsonValue};
+use bfbp::sim::obs::{Event, EventJournal};
 use bfbp::sim::registry::PredictorSpec;
 use bfbp::sim::runner::SuiteRunner;
 use bfbp::trace::synth::suite;
@@ -278,6 +279,38 @@ fn events_journal_round_trips_through_shared_parser() {
     let lines: Vec<&str> = text.lines().collect();
     let corrupted = format!("{}\n{{\"ev\": \"bro\n{}\n", lines[0], lines[1..].join("\n"));
     assert!(parse_events(&corrupted).is_err(), "mid-file tear must fail");
+}
+
+/// Reopening an events journal whose final line a crash tore cuts the
+/// fragment off, so the next event starts a line of its own and every
+/// line parses; a file holding only a torn line starts over with its
+/// header.
+#[test]
+fn reopening_an_events_journal_cuts_a_torn_final_line() {
+    let path = scratch("torn.events.jsonl");
+    let journal = EventJournal::create(&path).expect("create journal");
+    journal.emit(Event::new("job_open").num("job", 0));
+    drop(journal);
+    let mut text = fs::read(&path).expect("journal written");
+    text.extend_from_slice(b"{\"ev\": \"job_open\", \"t_us\": 12");
+    fs::write(&path, &text).expect("tear the journal");
+
+    let journal = EventJournal::open(&path).expect("reopen journal");
+    journal.emit(Event::new("sweep_open"));
+    journal.emit(Event::new("sweep_close"));
+    drop(journal);
+    let names = |path: &PathBuf| -> Vec<String> {
+        let events = read_events(path).expect("journal parses");
+        events.into_iter().map(|e| e.ev).collect()
+    };
+    assert_eq!(
+        names(&path),
+        ["journal_open", "job_open", "sweep_open", "sweep_close"]
+    );
+
+    fs::write(&path, b"{\"ev\": \"jour").expect("tear the header");
+    drop(EventJournal::open(&path).expect("reopen journal"));
+    assert_eq!(names(&path), ["journal_open"]);
 }
 
 /// `chrome_trace` over a real faulty sweep journal must emit valid

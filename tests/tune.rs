@@ -151,7 +151,7 @@ fn resume_mid_rung_reproduces_uninterrupted_frontier() {
     let journal = rung_journal(&state, 1);
     let text = fs::read_to_string(&journal).expect("rung 1 journal kept");
     let kept: Vec<&str> = text.lines().take(2).collect();
-    assert!(kept[1].contains("\"status\": \"ok\""), "{text}");
+    assert!(kept[1].contains("\"cond\": "), "{text}");
     fs::write(&journal, kept.join("\n") + "\n").expect("truncate rung 1 journal");
     assert_eq!(resume(&options, &reference), [true, false]);
 }
