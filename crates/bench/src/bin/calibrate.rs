@@ -1,13 +1,13 @@
 //! Quick calibration: per-trace MPKI for the main predictor set at a
-//! reduced scale. Development aid, not a paper figure.
+//! reduced scale. Development aid, not a paper figure. Its sweep takes
+//! the campaign's shared flags (`bfbp_bench::cli::CAMPAIGN_FLAGS`).
 
-use bfbp_bench::cli::Harness;
 use bfbp_bench::{banner, print_mpki_table};
-use bfbp_sim::engine::{sweep, SweepOptions};
+use bfbp_sim::engine::sweep;
 use bfbp_sim::registry::PredictorSpec;
 
 fn main() {
-    let harness = Harness::from_env(0.2);
+    let harness = bfbp_bench::cli::campaign(0.2, &mut []);
     banner("calibration", &format!("suite scale {}", harness.scale));
     let registry = bfbp::default_registry();
     let runner = harness.suite_runner();
@@ -40,7 +40,7 @@ fn main() {
         PredictorSpec::new("bf-isl-tage").labeled(labels[7]),
     ];
     let t0 = std::time::Instant::now();
-    let report = sweep(&registry, &specs, &runner, &SweepOptions::default())
+    let report = sweep(&registry, &specs, &runner, &harness.sweep)
         .expect("calibration specs are registered");
     eprintln!(
         "{} jobs on {} threads in {:?} (speedup {:.2}x)",
@@ -56,5 +56,8 @@ fn main() {
     print_mpki_table(&labels, &series);
     if let Ok(path) = report.write_json(&harness.results_dir, "calibrate") {
         eprintln!("results: {}", path.display());
+    }
+    if let Ok(Some(path)) = report.write_metrics_json(&harness.results_dir, "calibrate") {
+        eprintln!("metrics: {}", path.display());
     }
 }

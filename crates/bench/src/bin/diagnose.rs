@@ -10,28 +10,28 @@
 //!
 //! Defaults: trace `SPEC03`, spec `isl-tage:tables=10`, top 20.
 //!
-//! Flags are parsed through `bfbp_bench::cli::CommonArgs`, so
+//! Flags are parsed through `bfbp_bench::cli::Harness`, so
 //! `--trace-cache` / `--events` (also spelled `--events-out`) behave
-//! exactly as in `sweep`; common flags the diagnostic cannot honor are
+//! exactly as in `sweep`; shared flags the diagnostic cannot honor are
 //! rejected, not silently ignored. `--events` appends a one-span
 //! `bfbp-events/1` journal of the diagnostic run.
 
 use std::process::ExitCode;
 
-use bfbp_bench::cli::{CommonArgs, Harness};
+use bfbp_bench::cli::Harness;
 use bfbp_sim::obs::{job_obs_json, Event, EventJournal, JobObs};
 use bfbp_sim::registry::PredictorSpec;
 use bfbp_sim::simulate::Simulation;
 use bfbp_trace::synth::suite;
 
 fn main() -> ExitCode {
-    let mut common = CommonArgs::default();
+    let mut harness = Harness::from_env(1.0);
     let mut json = false;
     let mut top = 20usize;
     let mut positional: Vec<String> = Vec::new();
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
-        match common.try_consume(&arg, &mut args) {
+        match harness.parse_flag(&["--events", "--trace-cache"], &arg, &mut args) {
             Ok(true) => continue,
             Ok(false) => {}
             Err(e) => return usage(&e),
@@ -45,9 +45,6 @@ fn main() -> ExitCode {
             other if other.starts_with("--") => return usage(&format!("unknown flag {other:?}")),
             other => positional.push(other.to_owned()),
         }
-    }
-    if let Err(e) = common.ensure_only(&["--events", "--trace-cache"]) {
-        return usage(&e);
     }
     let name = positional
         .first()
@@ -78,8 +75,7 @@ fn main() -> ExitCode {
     };
     // Served from the trace cache (`BFBP_TRACE_CACHE`, `--trace-cache`)
     // when warm.
-    let cache = Harness::from_env(1.0).with_flags(&common).cache;
-    let (trace, _status) = cache.fetch(&trace_spec, trace_spec.default_len());
+    let (trace, _status) = harness.cache.fetch(&trace_spec, trace_spec.default_len());
 
     let mut obs = JobObs::default();
     let mut observe = |pc, taken, mispredicted| obs.h2p.record(pc, taken, mispredicted);
@@ -89,7 +85,7 @@ fn main() -> ExitCode {
         .expect("never cancelled");
     obs.record_run(&result, predictor.as_ref());
 
-    if let Some(path) = &common.events {
+    if let Some(path) = &harness.sweep.events {
         match EventJournal::open(path) {
             Ok(journal) => journal.emit(
                 Event::new("diagnose")
@@ -129,5 +125,5 @@ fn usage(err: &str) -> ExitCode {
         "usage: diagnose [--json] [--top N] [--events PATH]\n\
         \x20               [--trace-cache|--no-trace-cache] [TRACE [SPEC]]"
     );
-    ExitCode::FAILURE
+    ExitCode::from(2)
 }

@@ -8,10 +8,10 @@
 //! forensics --chrome-trace --events EVENTS.jsonl   # same journal flag as sweep
 //! ```
 //!
-//! Flags are parsed through `bfbp_bench::cli::CommonArgs`, so the
-//! events journal can be named with the same `--events` /
-//! `--events-out` flag every other binary uses (the positional path
-//! still works); common flags this tool cannot honor are rejected.
+//! Flags are parsed through `bfbp_bench::cli::Harness`, so the events
+//! journal can be named with the same `--events` / `--events-out` flag
+//! every other binary uses (the positional path still works); shared
+//! flags this tool cannot honor are rejected.
 //!
 //! `--postmortem` prints each dump's identity (job, series, trace, how
 //! it died) and the flight-recorder window oldest-first, flagging
@@ -27,12 +27,12 @@
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use bfbp_bench::cli::CommonArgs;
+use bfbp_bench::cli::Harness;
 use bfbp_sim::forensics::{chrome_trace, read_events};
 use bfbp_sim::json::{parse_json, JsonValue};
 
 fn main() -> ExitCode {
-    let mut common = CommonArgs::default();
+    let mut harness = Harness::from_env(1.0);
     let mut postmortems: Vec<PathBuf> = Vec::new();
     let mut journal: Option<PathBuf> = None;
     let mut out: Option<PathBuf> = None;
@@ -40,7 +40,7 @@ fn main() -> ExitCode {
 
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
-        match common.try_consume(&arg, &mut args) {
+        match harness.parse_flag(&["--events"], &arg, &mut args) {
             Ok(true) => continue,
             Ok(false) => {}
             Err(e) => return usage(&e),
@@ -65,13 +65,10 @@ fn main() -> ExitCode {
             },
         }
     }
-    if let Err(e) = common.ensure_only(&["--events"]) {
-        return usage(&e);
-    }
     // `--events PATH` names the journal exactly as it does in `sweep`;
     // the positional spelling wins when both are given.
     if journal.is_none() {
-        journal = common.events.clone();
+        journal = harness.sweep.events;
     }
 
     match mode {
@@ -235,5 +232,5 @@ fn usage(err: &str) -> ExitCode {
         "usage: forensics --postmortem DUMP.json [DUMP.json...]\n\
         \x20      forensics --chrome-trace EVENTS.jsonl [--out TRACE.json]"
     );
-    ExitCode::FAILURE
+    ExitCode::from(2)
 }

@@ -29,7 +29,7 @@
 use std::process::ExitCode;
 use std::time::{Duration, Instant};
 
-use bfbp_bench::cli::{CommonArgs, Harness};
+use bfbp_bench::cli::Harness;
 use bfbp_sim::registry::PredictorSpec;
 use bfbp_sim::service::{ServeClient, ServeError};
 use bfbp_sim::simulate::Simulation;
@@ -42,7 +42,7 @@ use bfbp_trace::synth::suite;
 const RETRY_BUDGET: Duration = Duration::from_secs(60);
 
 fn main() -> ExitCode {
-    let mut common = CommonArgs::default();
+    let mut harness = Harness::from_env(1.0);
     let mut addr: Option<String> = None;
     let mut connections = 4usize;
     let mut batch = 1024usize;
@@ -53,7 +53,7 @@ fn main() -> ExitCode {
 
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
-        match common.try_consume(&arg, &mut args) {
+        match harness.parse_flag(&["--trace-cache"], &arg, &mut args) {
             Ok(true) => continue,
             Ok(false) => {}
             Err(e) => return usage(&e),
@@ -87,9 +87,6 @@ fn main() -> ExitCode {
             other => return usage(&format!("unknown argument {other:?}")),
         }
     }
-    if let Err(e) = common.ensure_only(&["--trace-cache"]) {
-        return usage(&e);
-    }
     let Some(addr) = addr else {
         return usage("--addr is required (the server prints `listening on ADDR`)");
     };
@@ -104,14 +101,13 @@ fn main() -> ExitCode {
         Ok(s) => s,
         Err(e) => return usage(&format!("bad spec {spec_text:?}: {e}")),
     };
-    let cache = Harness::from_env(1.0).with_flags(&common).cache;
     let mut traces: Vec<(String, TraceChunk, SessionStats)> = Vec::new();
     for name in &trace_names {
         let Some(trace_spec) = suite::find(name) else {
             return usage(&format!("unknown trace {name:?}"));
         };
         let n = records.unwrap_or_else(|| trace_spec.default_len());
-        let (trace, _status) = cache.fetch(&trace_spec, n);
+        let (trace, _status) = harness.cache.fetch(&trace_spec, n);
         let mut chunk = TraceChunk::new();
         chunk.extend_from_records(trace.records());
         let mut predictor = match registry.build_spec(&spec) {
@@ -287,5 +283,5 @@ fn usage(err: &str) -> ExitCode {
         \x20              [--spec SPEC] [--trace NAME]... [--records N] [--shutdown]\n\
         \x20              [--trace-cache|--no-trace-cache]"
     );
-    ExitCode::FAILURE
+    ExitCode::from(2)
 }

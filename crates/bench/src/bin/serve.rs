@@ -17,24 +17,27 @@
 //! `tests/serve.rs` both do). Accepts beyond `--max-conns` are
 //! load-shed with a `RETRY` error frame rather than queued.
 //!
-//! Flags are parsed through `bfbp_bench::cli::CommonArgs`, so
+//! Flags are parsed through `bfbp_bench::cli::Harness`, so
 //! `--checkpoint-every` / `--checkpoint-dir` / `--events` spell and
-//! behave exactly as they do in `sweep`; common flags the server
-//! cannot honor are rejected, not silently ignored.
+//! behave exactly as they do in `sweep`; shared flags the server cannot
+//! honor are rejected, not silently ignored. `--checkpoint-dir` alone
+//! persists sessions on `CHECKPOINT` frames and at shutdown;
+//! `--checkpoint-every` needs it.
 
 use std::process::ExitCode;
 
-use bfbp_bench::cli::CommonArgs;
+use bfbp_bench::cli::Harness;
 use bfbp_sim::service::{ServeOptions, Server};
 
 fn main() -> ExitCode {
-    let mut common = CommonArgs::default();
+    let mut harness = Harness::from_env(1.0);
     let mut addr = "127.0.0.1:0".to_owned();
     let mut options = ServeOptions::default();
 
+    let shared = ["--checkpoint-every", "--checkpoint-dir", "--events"];
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
-        match common.try_consume(&arg, &mut args) {
+        match harness.parse_flag(&shared, &arg, &mut args) {
             Ok(true) => continue,
             Ok(false) => {}
             Err(e) => return usage(&e),
@@ -51,14 +54,12 @@ fn main() -> ExitCode {
             other => return usage(&format!("unknown argument {other:?}")),
         }
     }
-    if let Err(e) = common.ensure_only(&["--checkpoint-every", "--checkpoint-dir", "--events"]) {
+    if let Err(e) = harness.check_pairs() {
         return usage(&e);
     }
-    if let Some(every) = common.checkpoint_every {
-        options.checkpoint_every = every;
-    }
-    options.checkpoint_dir = common.checkpoint_dir.clone();
-    options.events = common.events.clone();
+    options.checkpoint_every = harness.sweep.checkpoint_every;
+    options.checkpoint_dir = harness.sweep.checkpoint_dir;
+    options.events = harness.sweep.events;
 
     let server = match Server::bind(&addr, bfbp::default_registry(), options) {
         Ok(server) => server,
@@ -90,5 +91,5 @@ fn usage(err: &str) -> ExitCode {
         "usage: serve [--addr HOST:PORT] [--max-conns N]\n\
         \x20            [--checkpoint-every N] [--checkpoint-dir DIR] [--events PATH]"
     );
-    ExitCode::FAILURE
+    ExitCode::from(2)
 }

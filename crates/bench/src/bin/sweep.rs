@@ -51,9 +51,10 @@
 //! with failed jobs still exits 0 and reports partial results — a spec
 //! that does not build at all is the only sweep-level failure.
 
+use std::path::PathBuf;
 use std::process::ExitCode;
 
-use bfbp_bench::cli::{CommonArgs, Harness};
+use bfbp_bench::cli::{self, Harness};
 use bfbp_bench::{banner, print_mpki_table};
 use bfbp_sim::engine::{sweep, sweep_inputs, TraceInput};
 use bfbp_sim::fault::FaultPlan;
@@ -61,16 +62,15 @@ use bfbp_sim::registry::PredictorSpec;
 
 fn main() -> ExitCode {
     let registry = bfbp::default_registry();
-    let mut common = CommonArgs::default();
+    let mut harness = Harness::from_env(1.0);
     let mut run = "sweep".to_owned();
     let mut specs: Vec<PredictorSpec> = Vec::new();
     let mut trace_files: Vec<String> = Vec::new();
-    let mut interval: Option<u64> = None;
-    let mut fault_plan: Option<FaultPlan> = None;
+    let mut metrics_out: Option<PathBuf> = None;
 
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
-        match common.try_consume(&arg, &mut args) {
+        match harness.parse_flag(cli::SWEEP_FLAGS, &arg, &mut args) {
             Ok(true) => continue,
             Ok(false) => {}
             Err(e) => return usage(&e),
@@ -97,7 +97,7 @@ fn main() -> ExitCode {
                 return ExitCode::SUCCESS;
             }
             "--interval" => match args.next().and_then(|v| v.parse().ok()) {
-                Some(n) => interval = Some(n),
+                Some(n) => harness.sweep.interval_insts = n,
                 None => return usage("--interval needs an instruction count"),
             },
             "--run" => match args.next() {
@@ -105,13 +105,20 @@ fn main() -> ExitCode {
                 None => return usage("--run needs a name"),
             },
             "--fault-plan" => match args.next().map(|v| FaultPlan::parse(&v)) {
-                Some(Ok(plan)) => fault_plan = Some(plan),
+                Some(Ok(plan)) => harness.sweep.fault_plan = Some(plan),
                 Some(Err(e)) => return usage(&e.to_string()),
                 None => return usage("--fault-plan needs a plan string"),
             },
             "--trace-file" => match args.next() {
                 Some(path) => trace_files.push(path),
                 None => return usage("--trace-file needs a path"),
+            },
+            "--metrics-out" => match args.next().filter(|path| !path.is_empty()) {
+                Some(path) => {
+                    harness.sweep.metrics = true;
+                    metrics_out = Some(path.into());
+                }
+                None => return usage("--metrics-out needs a path"),
             },
             text => match PredictorSpec::parse(text) {
                 Ok(s) => specs.push(s),
@@ -122,12 +129,9 @@ fn main() -> ExitCode {
     if specs.is_empty() {
         return usage("no predictor specs given");
     }
-    // Environment knobs first, explicit flags on top.
-    let mut harness = Harness::from_env(1.0).with_flags(&common);
-    if let Some(insts) = interval {
-        harness.sweep.interval_insts = insts;
+    if let Err(e) = harness.check_pairs() {
+        return usage(&e);
     }
-    harness.sweep.fault_plan = fault_plan;
 
     let result = if trace_files.is_empty() {
         banner(
@@ -227,7 +231,7 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     }
-    if let Some(path) = &common.metrics_out {
+    if let Some(path) = &metrics_out {
         match report.metrics_json() {
             Some(json) => match std::fs::write(path, json) {
                 Ok(()) => println!("metrics: {}", path.display()),
@@ -245,14 +249,15 @@ fn main() -> ExitCode {
 fn usage(err: &str) -> ExitCode {
     eprintln!("error: {err}");
     eprintln!(
-        "usage: sweep [common flags] [--run NAME] [--interval INSTS]\n\
-                      [--trace-file PATH]... [--fault-plan PLAN]\n\
-                      <spec> [<spec>...]\n\
-                sweep --list\n\
+        "usage: sweep [--run NAME] [--interval INSTS] [--metrics-out PATH]\n\
+        \x20            [--trace-file PATH]... [--fault-plan PLAN]\n\
+        \x20            [shared flags] <spec> [<spec>...]\n\
+        \x20      sweep --list\n\
          spec: [label=]name[:key=value,...]\n\
          plan: e.g. panic@1,panic@4=1,delay@2=50,io@3=checksum,skip@5,kill@6=5000,random@42=0.1\n\
+         --metrics-out PATH: collect metrics and write the bfbp-metrics/1 document here\n\
          {}",
-        bfbp_bench::cli::COMMON_USAGE
+        cli::flags_usage(cli::SWEEP_FLAGS)
     );
-    ExitCode::FAILURE
+    ExitCode::from(2)
 }

@@ -6,7 +6,7 @@
 //! tune --space 'bf-isl-tage:tables=4..10,sc=true|false' \
 //!      --budget-kbits 512 [--eta 2] [--rungs 3] \
 //!      [--samples N] [--seed S] [--trace NAME]... \
-//!      [--state PATH] [--resume] [--frontier-out PATH] [common flags]
+//!      [--state PATH] [--resume] [--frontier-out PATH] [shared flags]
 //! ```
 //!
 //! The space grammar is `name[:key=lo..hi[/step],key=a|b|c,...]`;
@@ -15,9 +15,10 @@
 //! 1 kbit = 1024 bits; below 2^54, so the bit count fits a `u64`)
 //! never cost a simulated record. Each rung runs
 //! as one batch on the parallel sweep engine, so `--threads`,
-//! `--retries`, `--timeout`, and `--events` apply per rung; trace
-//! lengths honor `BFBP_TRACE_SCALE` and the trace cache serves every
-//! rung's truncated traces.
+//! `--retries`, `--timeout`, `--checkpoint-every`, `--flight-recorder`
+//! and `--events` apply per rung (`bfbp_bench::cli::TUNE_FLAGS` lists
+//! every shared flag it takes); trace lengths honor `BFBP_TRACE_SCALE`
+//! and the trace cache serves every rung's truncated traces.
 //!
 //! Crash consistency: `--state PATH` names the rung journals. Rung `r`
 //! keeps an ordinary sweep journal at `PATH` with its extension
@@ -33,13 +34,13 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 
 use bfbp_bench::banner;
-use bfbp_bench::cli::{CommonArgs, Harness};
+use bfbp_bench::cli::{self, Harness};
 use bfbp_sim::tune::{tune, SearchSpace, TuneOptions};
 use bfbp_trace::synth::suite;
 
 fn main() -> ExitCode {
     let registry = bfbp::default_registry();
-    let mut common = CommonArgs::default();
+    let mut harness = Harness::from_env(1.0);
     let mut space_text: Option<String> = None;
     let mut budget_kbits: Option<u64> = None;
     let mut eta = 2usize;
@@ -54,7 +55,7 @@ fn main() -> ExitCode {
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         // Tuner flags first: the tuner's `--resume` is a boolean (the
-        // rung journals are named by `--state`), unlike the common
+        // rung journals are named by `--state`), unlike the shared
         // sweep flag of the same name which takes a journal path.
         match arg.as_str() {
             "--space" => match args.next() {
@@ -94,7 +95,7 @@ fn main() -> ExitCode {
                 Some(path) => frontier_out = path.into(),
                 None => return usage("--frontier-out needs a path"),
             },
-            other => match common.try_consume(other, &mut args) {
+            other => match harness.parse_flag(cli::TUNE_FLAGS, other, &mut args) {
                 Ok(true) => {}
                 Ok(false) => return usage(&format!("unknown argument {other:?}")),
                 Err(e) => return usage(&e),
@@ -107,15 +108,7 @@ fn main() -> ExitCode {
     let Some(budget_kbits) = budget_kbits else {
         return usage("--budget-kbits is required");
     };
-    if let Err(e) = common.ensure_only(&[
-        "--threads",
-        "--retries",
-        "--backoff",
-        "--timeout",
-        "--events",
-        "--progress",
-        "--trace-cache",
-    ]) {
+    if let Err(e) = harness.check_pairs() {
         return usage(&e);
     }
     if resume && state.is_none() {
@@ -140,7 +133,6 @@ fn main() -> ExitCode {
     };
 
     let budget_bits = budget_kbits * 1024;
-    let harness = Harness::from_env(1.0).with_flags(&common);
     let options = TuneOptions {
         eta,
         rungs,
@@ -222,12 +214,10 @@ fn usage(err: &str) -> ExitCode {
         "usage: tune --space SPACE --budget-kbits N [--eta N] [--rungs N]\n\
                      [--samples N] [--seed S] [--trace NAME]...\n\
                      [--state PATH] [--resume] [--frontier-out PATH]\n\
-                     [common flags]\n\
+                     [shared flags]\n\
          space: name[:key=lo..hi[/step],key=a|b|c,key=value,...]\n\
-         supported common flags: --threads --retries --backoff --timeout\n\
-                     --events --progress --trace-cache|--no-trace-cache\n\
          {}",
-        bfbp_bench::cli::COMMON_USAGE
+        cli::flags_usage(cli::TUNE_FLAGS)
     );
-    ExitCode::FAILURE
+    ExitCode::from(2)
 }

@@ -3,35 +3,61 @@
 //!
 //! This is the one module of the workspace that reads the process
 //! environment. Each binary's `main` builds one [`Harness`] from the
-//! documented variables ([`Harness::from_env`]), lays the shared flags
-//! over it ([`Harness::with_flags`]) and passes it down: the
-//! experiments, the sweep engine, the suite runner and the tuner take
-//! their settings as arguments and read no variable. A flag wins over
-//! its variable.
+//! three deployment variables ([`Harness::from_env`]), parses the shared
+//! flags straight into it ([`Harness::parse_flag`]) and passes it down:
+//! the experiments, the sweep engine, the suite runner and the tuner
+//! take their settings as arguments and read no variable. Every sweep
+//! setting is a flag.
 //!
-//! README's "Settings" table lists the variables and their flags.
-//! Unset or malformed variables leave the defaults.
+//! README's "Settings" table lists the variables and the flags. Unset
+//! or malformed variables leave the defaults.
 //!
-//! [`CommonArgs`] parses the flags the binaries share, so they cannot
-//! drift apart: each binary calls [`CommonArgs::try_consume`] first in
-//! its flag loop and handles only its own flags when that returns
-//! `Ok(false)`. Binaries that honor only some of the common flags call
-//! [`CommonArgs::ensure_only`], so the rest fail loudly instead of
-//! being silently ignored.
+//! Each binary names the shared flags it honors, and
+//! [`Harness::parse_flag`] rejects any other shared flag as soon as it
+//! reads it, so no binary silently ignores one. After the last argument
+//! [`Harness::check_pairs`] rejects half a flag pair.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::time::Duration;
 
-use bfbp_sim::engine::{RetryPolicy, SweepOptions};
+use bfbp_sim::engine::SweepOptions;
 use bfbp_sim::obs::EventJournal;
 use bfbp_sim::runner::SuiteRunner;
 use bfbp_trace::cache::TraceCache;
 use bfbp_trace::synth::suite;
 
-/// Usage text for the flags [`CommonArgs::try_consume`] understands,
-/// for embedding in a binary's `usage:` message.
-pub const COMMON_USAGE: &str = "\
-common flags:
+/// Every shared flag, by its canonical spelling (`--events` also reads
+/// as `--events-out`, and `--trace-cache` as `--no-trace-cache`).
+/// `sweep` honors them all; each list below is a suffix of this one.
+pub const SWEEP_FLAGS: &[&str] = &[
+    "--journal",
+    "--resume",
+    "--metrics",
+    "--threads",
+    "--retries",
+    "--backoff",
+    "--timeout",
+    "--checkpoint-every",
+    "--checkpoint-dir",
+    "--events",
+    "--flight-recorder",
+    "--postmortem-dir",
+    "--progress",
+    "--trace-cache",
+];
+
+/// The shared flags of `run_all`, `calibrate` and the figure binaries:
+/// all but `--journal` and `--resume`, since one journal cannot serve a
+/// campaign's many sweeps.
+pub const CAMPAIGN_FLAGS: &[&str] = SWEEP_FLAGS.split_at(2).1;
+
+/// The shared flags of `tune`: the campaign's but `--metrics`, since the
+/// tuner writes no metrics document.
+pub const TUNE_FLAGS: &[&str] = SWEEP_FLAGS.split_at(3).1;
+
+/// Help for every shared flag under a heading: one entry per flag, its
+/// continuation lines indented further.
+const FLAG_HELP: &str = "shared flags:
   --threads N          worker threads (0 = all cores)
   --retries N          re-attempts per failed job
   --backoff MS         delay between retry attempts
@@ -47,8 +73,8 @@ common flags:
                        re-run pointed here resumes interrupted jobs
                        mid-trace
   --metrics            collect per-job introspection metrics and H2P
-  --metrics-out PATH   ... and write the bfbp-metrics/1 document here
   --events PATH        append the bfbp-events/1 span/event journal
+                       (also spelled --events-out)
   --flight-recorder N  keep the last N decisions per in-flight job for
                        postmortem dumps (requires --postmortem-dir)
   --postmortem-dir DIR directory for bfbp-postmortem/1 dumps written
@@ -56,6 +82,26 @@ common flags:
   --progress           draw a live job-completion line on stderr
   --trace-cache | --no-trace-cache
                        force the content-addressed trace cache on/off";
+
+/// The help of the shared flags `supported` lists, for embedding in a
+/// binary's `usage:` message.
+pub fn flags_usage(supported: &[&str]) -> String {
+    let mut listed = true; // the heading
+    let mut usage = Vec::new();
+    for line in FLAG_HELP.lines() {
+        if let Some(flag) = line
+            .split_whitespace()
+            .next()
+            .filter(|f| f.starts_with("--"))
+        {
+            listed = supported.contains(&flag);
+        }
+        if listed {
+            usage.push(line);
+        }
+    }
+    usage.join("\n")
+}
 
 /// Everything an experiment binary takes from its environment and its
 /// shared flags: built once in `main` and passed down by reference.
@@ -83,24 +129,6 @@ impl Harness {
     /// so tests can pin the environment instead of mutating the real
     /// (process-global) one.
     pub fn from_lookup(default_scale: f64, lookup: impl Fn(&str) -> Option<String>) -> Self {
-        let num = |name: &str| lookup(name).and_then(|v| v.parse::<u64>().ok());
-        let path = |name: &str| lookup(name).filter(|p| !p.is_empty()).map(PathBuf::from);
-        let sweep = SweepOptions {
-            retry: RetryPolicy::retries(
-                num("BFBP_SWEEP_RETRIES").unwrap_or(0) as u32,
-                Duration::from_millis(num("BFBP_SWEEP_BACKOFF_MS").unwrap_or(0)),
-            ),
-            timeout: num("BFBP_SWEEP_TIMEOUT_MS")
-                .filter(|ms| *ms > 0)
-                .map(Duration::from_millis),
-            metrics: lookup("BFBP_SWEEP_METRICS").is_some_and(|v| !v.is_empty() && v != "0"),
-            events: path("BFBP_SWEEP_EVENTS"),
-            checkpoint_every: num("BFBP_SWEEP_CKPT_EVERY").unwrap_or(0),
-            checkpoint_dir: path("BFBP_SWEEP_CKPT_DIR"),
-            flight_recorder: num("BFBP_SWEEP_FLIGHT").unwrap_or(0) as usize,
-            postmortem_dir: path("BFBP_SWEEP_FLIGHT_DIR"),
-            ..SweepOptions::new()
-        };
         let cache = match lookup("BFBP_TRACE_CACHE").as_deref() {
             None | Some("" | "1" | "on") => TraceCache::default_location(),
             Some("0" | "off") => TraceCache::disabled(),
@@ -111,88 +139,22 @@ impl Harness {
                 .and_then(|v| v.parse::<f64>().ok())
                 .filter(|v| *v > 0.0)
                 .unwrap_or(default_scale),
-            sweep,
+            sweep: SweepOptions::new(),
             cache,
             results_dir: lookup("BFBP_RESULTS_DIR")
                 .map_or_else(|| PathBuf::from("target").join("results"), PathBuf::from),
         }
     }
 
-    /// Overlays every given flag of `common` (fields left `None` keep
-    /// what the variables set). `--trace-cache` selects the default
-    /// cache location and `--no-trace-cache` disables the cache.
-    pub fn with_flags(mut self, common: &CommonArgs) -> Self {
-        common.apply_to(&mut self.sweep);
-        if let Some(on) = common.trace_cache {
-            self.cache = if on {
-                TraceCache::default_location()
-            } else {
-                TraceCache::disabled()
-            };
-        }
-        self
-    }
-
-    /// The 40-trace suite at [`Harness::scale`], served from
-    /// [`Harness::cache`]. Each fetch is journaled as a `trace_cache`
-    /// event to the sweep's events journal, when one is named.
-    pub fn suite_runner(&self) -> SuiteRunner {
-        let events = self
-            .sweep
-            .events
-            .as_ref()
-            .and_then(|path| EventJournal::open(path).ok());
-        SuiteRunner::from_specs_cached(suite::suite(), self.scale, &self.cache, events.as_ref())
-    }
-}
-
-/// The engine-tuning flags shared by the experiment binaries. Every
-/// field is optional so a binary can distinguish "flag given" from
-/// "leave the variable or the built-in default alone".
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct CommonArgs {
-    /// `--threads N`.
-    pub threads: Option<usize>,
-    /// `--retries N` (re-attempts after the first try).
-    pub retries: Option<u32>,
-    /// `--backoff MS`.
-    pub backoff_ms: Option<u64>,
-    /// `--timeout MS`.
-    pub timeout_ms: Option<u64>,
-    /// `--journal PATH`.
-    pub journal: Option<PathBuf>,
-    /// `--resume PATH`.
-    pub resume: Option<PathBuf>,
-    /// `--checkpoint-every N` (mid-job snapshot cadence in records).
-    pub checkpoint_every: Option<u64>,
-    /// `--checkpoint-dir DIR`.
-    pub checkpoint_dir: Option<PathBuf>,
-    /// `--metrics` or `--metrics-out`.
-    pub metrics: bool,
-    /// `--metrics-out PATH` (where the binary writes the collected
-    /// `bfbp-metrics/1` document; implies [`CommonArgs::metrics`]).
-    pub metrics_out: Option<PathBuf>,
-    /// `--events PATH` (also accepted as `--events-out`).
-    pub events: Option<PathBuf>,
-    /// `--flight-recorder N` (ring capacity in decisions).
-    pub flight_recorder: Option<usize>,
-    /// `--postmortem-dir DIR`.
-    pub postmortem_dir: Option<PathBuf>,
-    /// `--progress`.
-    pub progress: bool,
-    /// `--trace-cache` (`Some(true)`) or `--no-trace-cache`
-    /// (`Some(false)`).
-    pub trace_cache: Option<bool>,
-}
-
-impl CommonArgs {
-    /// Consumes `arg` (and its value from `args`) when it is a common
-    /// flag. Returns `Ok(true)` when consumed, `Ok(false)` when the
-    /// binary should handle the argument itself, and `Err` with a
-    /// user-facing message when a common flag's value is missing or
-    /// malformed.
-    pub fn try_consume(
+    /// Parses `arg`, and its value from `args`, into the harness when it
+    /// is a shared flag. Returns `Ok(false)` for any other argument,
+    /// which the binary handles itself, and `Err` with a user-facing
+    /// message for a shared flag `supported` does not list or a missing
+    /// or malformed value. `--resume P` also journals to P unless
+    /// `--journal` names another file, before or after it.
+    pub fn parse_flag(
         &mut self,
+        supported: &[&str],
         arg: &str,
         args: &mut dyn Iterator<Item = String>,
     ) -> Result<bool, String> {
@@ -215,281 +177,339 @@ impl CommonArgs {
                 .map_err(|_| format!("{flag} needs {what}"))
         }
 
-        match arg {
-            "--threads" => self.threads = Some(number(args, arg, "a thread count")?),
-            "--retries" => self.retries = Some(number(args, arg, "a count")?),
-            "--backoff" => self.backoff_ms = Some(number(args, arg, "milliseconds")?),
-            "--timeout" => self.timeout_ms = Some(number(args, arg, "milliseconds")?),
-            "--journal" => self.journal = Some(value(args, arg, "a path")?.into()),
-            "--resume" => self.resume = Some(value(args, arg, "a journal path")?.into()),
+        let flag = match arg {
+            "--events-out" => "--events",
+            "--no-trace-cache" => "--trace-cache",
+            _ => arg,
+        };
+        if !SWEEP_FLAGS.contains(&flag) {
+            return Ok(false);
+        }
+        if !supported.contains(&flag) {
+            return Err(format!("{arg} is not supported by this binary"));
+        }
+        let options = &mut self.sweep;
+        match flag {
+            "--threads" => options.threads = number(args, arg, "a thread count")?,
+            "--retries" => {
+                options.retry.max_attempts = number::<u32>(args, arg, "a count")?.saturating_add(1);
+            }
+            "--backoff" => {
+                options.retry.backoff = Duration::from_millis(number(args, arg, "milliseconds")?);
+            }
+            "--timeout" => {
+                // 0 means no timeout.
+                let ms: u64 = number(args, arg, "milliseconds")?;
+                options.timeout = (ms > 0).then(|| Duration::from_millis(ms));
+            }
+            "--journal" => options.journal = Some(value(args, arg, "a path")?.into()),
+            "--resume" => {
+                let path = PathBuf::from(value(args, arg, "a journal path")?);
+                // The journal follows the resumed file until `--journal`
+                // names another.
+                if options.journal == options.resume_from {
+                    options.journal = Some(path.clone());
+                }
+                options.resume_from = Some(path);
+            }
             "--checkpoint-every" => {
-                self.checkpoint_every = Some(number(args, arg, "a record count")?);
+                options.checkpoint_every = number(args, arg, "a record count")?;
             }
             "--checkpoint-dir" => {
-                self.checkpoint_dir = Some(value(args, arg, "a directory")?.into());
+                options.checkpoint_dir = Some(value(args, arg, "a directory")?.into());
             }
-            "--metrics" => self.metrics = true,
-            "--metrics-out" => {
-                self.metrics = true;
-                self.metrics_out = Some(value(args, arg, "a path")?.into());
-            }
-            "--events" | "--events-out" => self.events = Some(value(args, arg, "a path")?.into()),
+            "--metrics" => options.metrics = true,
+            "--events" => options.events = Some(value(args, arg, "a path")?.into()),
             "--flight-recorder" => {
-                self.flight_recorder = Some(number(args, arg, "a decision count")?);
+                options.flight_recorder = number(args, arg, "a decision count")?;
             }
             "--postmortem-dir" => {
-                self.postmortem_dir = Some(value(args, arg, "a directory")?.into());
+                options.postmortem_dir = Some(value(args, arg, "a directory")?.into());
             }
-            "--progress" => self.progress = true,
-            "--trace-cache" => self.trace_cache = Some(true),
-            "--no-trace-cache" => self.trace_cache = Some(false),
-            _ => return Ok(false),
+            "--progress" => options.progress = true,
+            "--trace-cache" if arg == "--trace-cache" => {
+                self.cache = TraceCache::default_location();
+            }
+            "--trace-cache" => self.cache = TraceCache::disabled(),
+            _ => unreachable!("{flag} is a shared flag without an arm"),
         }
         Ok(true)
     }
 
-    /// Overlays every given engine flag on `options`; fields left
-    /// `None` keep whatever `options` already holds. `--resume` also
-    /// journals to the resumed journal unless `--journal` names another
-    /// file.
-    fn apply_to(&self, options: &mut SweepOptions) {
-        if let Some(n) = self.threads {
-            options.threads = n;
-        }
-        if let Some(retries) = self.retries {
-            options.retry.max_attempts = retries.saturating_add(1);
-        }
-        if let Some(ms) = self.backoff_ms {
-            options.retry.backoff = Duration::from_millis(ms);
-        }
-        if let Some(ms) = self.timeout_ms {
-            // 0 means no timeout, as in `BFBP_SWEEP_TIMEOUT_MS`.
-            options.timeout = (ms > 0).then(|| Duration::from_millis(ms));
-        }
-        if let Some(path) = &self.resume {
-            options.resume_from = Some(path.clone());
-            options.journal = Some(path.clone());
-        }
-        if let Some(path) = &self.journal {
-            options.journal = Some(path.clone());
-        }
-        if let Some(every) = self.checkpoint_every {
-            options.checkpoint_every = every;
-        }
-        if let Some(dir) = &self.checkpoint_dir {
-            options.checkpoint_dir = Some(dir.clone());
-        }
-        if self.metrics {
-            options.metrics = true;
-        }
-        if let Some(path) = &self.events {
-            options.events = Some(path.clone());
-        }
-        if let Some(capacity) = self.flight_recorder {
-            options.flight_recorder = capacity;
-        }
-        if let Some(dir) = &self.postmortem_dir {
-            options.postmortem_dir = Some(dir.clone());
-        }
-        if self.progress {
-            options.progress = true;
+    /// Rejects half a flag pair: a snapshot cadence without the
+    /// directory the snapshots go to, or a flight recorder without the
+    /// directory its dumps go to, would run and write nothing.
+    pub fn check_pairs(&self) -> Result<(), String> {
+        let options = &self.sweep;
+        if options.checkpoint_every > 0 && options.checkpoint_dir.is_none() {
+            Err("--checkpoint-every needs --checkpoint-dir".to_owned())
+        } else if options.flight_recorder > 0 && options.postmortem_dir.is_none() {
+            Err("--flight-recorder needs --postmortem-dir".to_owned())
+        } else {
+            Ok(())
         }
     }
 
-    /// Rejects any given flag that `supported` does not list, for
-    /// binaries that reuse the common parser but honor only some of its
-    /// flags. `"--trace-cache"` in `supported` admits both spellings.
-    pub fn ensure_only(&self, supported: &[&str]) -> Result<(), String> {
-        let given = [
-            (self.threads.is_some(), "--threads"),
-            (self.retries.is_some(), "--retries"),
-            (self.backoff_ms.is_some(), "--backoff"),
-            (self.timeout_ms.is_some(), "--timeout"),
-            (self.journal.is_some(), "--journal"),
-            (self.resume.is_some(), "--resume"),
-            (self.checkpoint_every.is_some(), "--checkpoint-every"),
-            (self.checkpoint_dir.is_some(), "--checkpoint-dir"),
-            (self.metrics, "--metrics"),
-            (self.metrics_out.is_some(), "--metrics-out"),
-            (self.events.is_some(), "--events"),
-            (self.flight_recorder.is_some(), "--flight-recorder"),
-            (self.postmortem_dir.is_some(), "--postmortem-dir"),
-            (self.progress, "--progress"),
-            (self.trace_cache.is_some(), "--trace-cache"),
-        ];
-        for (was_given, flag) in given {
-            if was_given && !supported.contains(&flag) {
-                let flag = match self.trace_cache {
-                    Some(false) if flag == "--trace-cache" => "--no-trace-cache",
-                    _ => flag,
-                };
-                return Err(format!("{flag} is not supported by this binary"));
-            }
-        }
-        Ok(())
+    /// The 40-trace suite at [`Harness::scale`], served from
+    /// [`Harness::cache`]. Each fetch is journaled as a `trace_cache`
+    /// event to the sweep's events journal, when one is named.
+    pub fn suite_runner(&self) -> SuiteRunner {
+        let events = self
+            .sweep
+            .events
+            .as_ref()
+            .and_then(|path| EventJournal::open(path).ok());
+        SuiteRunner::from_specs_cached(suite::suite(), self.scale, &self.cache, events.as_ref())
     }
+}
+
+/// The [`Harness`] of `run_all`, `calibrate` or a figure binary, from
+/// the environment and a command line of [`CAMPAIGN_FLAGS`] and the
+/// binary's own `switches`, each of which is set to whether it was
+/// given. Any other argument prints a usage error and exits 2.
+pub fn campaign(default_scale: f64, switches: &mut [(&str, &mut bool)]) -> Harness {
+    let mut args = std::env::args();
+    let bin = args.next().unwrap_or_default();
+    let mut harness = Harness::from_env(default_scale);
+    if let Err(e) = parse_campaign(&mut harness, switches, &mut args) {
+        let bin = Path::new(&bin).file_name().unwrap_or_default();
+        let own: String = switches.iter().map(|(s, _)| format!(" [{s}]")).collect();
+        eprintln!("error: {e}");
+        eprintln!(
+            "usage: {}{own} [shared flags]\n{}",
+            bin.to_string_lossy(),
+            flags_usage(CAMPAIGN_FLAGS)
+        );
+        std::process::exit(2);
+    }
+    harness
+}
+
+fn parse_campaign(
+    harness: &mut Harness,
+    switches: &mut [(&str, &mut bool)],
+    args: &mut dyn Iterator<Item = String>,
+) -> Result<(), String> {
+    while let Some(arg) = args.next() {
+        if harness.parse_flag(CAMPAIGN_FLAGS, &arg, args)? {
+            continue;
+        }
+        match switches.iter_mut().find(|(s, _)| *s == arg) {
+            Some((_, given)) => **given = true,
+            None => return Err(format!("unknown argument {arg:?}")),
+        }
+    }
+    harness.check_pairs()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn consume_all(line: &[&str]) -> Result<(CommonArgs, Vec<String>), String> {
-        let mut common = CommonArgs::default();
+    fn unset() -> Harness {
+        Harness::from_lookup(0.5, |_| None)
+    }
+
+    /// Parses the space-separated `line` into `harness`; returns the
+    /// arguments left to the binary.
+    fn parse_into(
+        harness: &mut Harness,
+        supported: &[&str],
+        line: &str,
+    ) -> Result<Vec<String>, String> {
         let mut rest = Vec::new();
-        let mut args = line.iter().map(|s| (*s).to_owned());
+        let mut args = line.split(' ').filter(|a| !a.is_empty()).map(str::to_owned);
         while let Some(arg) = args.next() {
-            if !common.try_consume(&arg, &mut args)? {
+            if !harness.parse_flag(supported, &arg, &mut args)? {
                 rest.push(arg);
             }
         }
-        Ok((common, rest))
+        Ok(rest)
+    }
+
+    /// `line` parsed as `sweep` would, into a harness with no variable
+    /// set.
+    fn parse(line: &str) -> Result<Harness, String> {
+        let mut harness = unset();
+        let rest = parse_into(&mut harness, SWEEP_FLAGS, line)?;
+        assert!(rest.is_empty(), "{rest:?}");
+        Ok(harness)
     }
 
     #[test]
-    fn consumes_common_flags_and_passes_through_the_rest() {
-        let (common, rest) = consume_all(&[
-            "--threads",
-            "4",
-            "--retries",
-            "2",
-            "--backoff",
-            "10",
-            "--timeout",
-            "5000",
-            "--journal",
-            "j.jsonl",
-            "--metrics-out",
-            "m.json",
-            "--events",
-            "e.jsonl",
-            "--progress",
-            "--run",
-            "night",
-            "bf-tage",
-        ])
-        .unwrap();
-        assert_eq!(common.threads, Some(4));
-        assert_eq!(common.retries, Some(2));
-        assert_eq!(common.backoff_ms, Some(10));
-        assert_eq!(common.timeout_ms, Some(5000));
-        assert_eq!(
-            common.journal.as_deref(),
-            Some(std::path::Path::new("j.jsonl"))
-        );
-        assert!(common.metrics);
-        assert_eq!(
-            common.metrics_out.as_deref(),
-            Some(std::path::Path::new("m.json"))
-        );
-        assert_eq!(
-            common.events.as_deref(),
-            Some(std::path::Path::new("e.jsonl"))
-        );
-        assert!(common.progress);
+    fn parses_shared_flags_and_passes_through_the_rest() {
+        let mut harness = unset();
+        harness.sweep.interval_insts = 7;
+        let line = "--threads 4 --retries 2 --backoff 10 --timeout 5000 --journal j.jsonl \
+                    --metrics --events e.jsonl --progress --run night bf-tage";
+        let rest = parse_into(&mut harness, SWEEP_FLAGS, line).unwrap();
+        let options = &harness.sweep;
+        assert_eq!(options.threads, 4);
+        assert_eq!(options.retry.max_attempts, 3);
+        assert_eq!(options.retry.backoff, Duration::from_millis(10));
+        assert_eq!(options.timeout, Some(Duration::from_millis(5000)));
+        assert_eq!(options.journal.as_deref(), Some(Path::new("j.jsonl")));
+        assert!(options.metrics);
+        assert_eq!(options.events.as_deref(), Some(Path::new("e.jsonl")));
+        assert!(options.progress);
+        assert_eq!(options.interval_insts, 7, "no flag sets it");
+        assert_eq!(options.checkpoint_dir, None);
         assert_eq!(rest, ["--run", "night", "bf-tage"]);
     }
 
     #[test]
     fn missing_or_malformed_values_are_user_facing_errors() {
-        let cases: [(&[&str], &str); 7] = [
-            (&["--threads"], "--threads needs a thread count"),
-            (&["--timeout", "soon"], "--timeout needs milliseconds"),
-            (&["--journal"], "--journal needs a path"),
+        let cases = [
+            ("--threads", "--threads needs a thread count"),
+            ("--timeout soon", "--timeout needs milliseconds"),
+            ("--journal", "--journal needs a path"),
             (
-                &["--checkpoint-every", "soon"],
+                "--checkpoint-every soon",
                 "--checkpoint-every needs a record count",
             ),
-            (&["--checkpoint-dir"], "--checkpoint-dir needs a directory"),
+            ("--checkpoint-dir", "--checkpoint-dir needs a directory"),
             (
-                &["--flight-recorder", "many"],
+                "--flight-recorder many",
                 "--flight-recorder needs a decision count",
             ),
-            (&["--postmortem-dir"], "--postmortem-dir needs a directory"),
+            ("--postmortem-dir", "--postmortem-dir needs a directory"),
         ];
         for (line, error) in cases {
-            assert_eq!(consume_all(line).unwrap_err(), error);
+            assert_eq!(parse(line).unwrap_err(), error);
         }
     }
 
     #[test]
-    fn apply_to_overlays_only_given_flags() {
-        let mut options = SweepOptions::default().with_threads(7);
-        let (common, _) = consume_all(&["--retries", "3", "--backoff", "25"]).unwrap();
-        common.apply_to(&mut options);
-        assert_eq!(options.threads, 7, "untouched field must keep its value");
-        assert_eq!(options.retry.max_attempts, 4);
-        assert_eq!(options.retry.backoff, Duration::from_millis(25));
-        assert_eq!(options.timeout, None);
-        assert!(!options.metrics);
-    }
-
-    #[test]
-    fn resume_checkpoints_to_the_resumed_journal_by_default() {
-        let mut options = SweepOptions::default();
-        let (common, _) = consume_all(&["--resume", "r.jsonl"]).unwrap();
-        common.apply_to(&mut options);
-        assert_eq!(
-            options.resume_from.as_deref(),
-            Some(std::path::Path::new("r.jsonl"))
-        );
-        assert_eq!(
-            options.journal.as_deref(),
-            Some(std::path::Path::new("r.jsonl"))
-        );
-
-        let mut options = SweepOptions::default();
-        let (common, _) = consume_all(&["--resume", "r.jsonl", "--journal", "j.jsonl"]).unwrap();
-        common.apply_to(&mut options);
-        assert_eq!(
-            options.journal.as_deref(),
-            Some(std::path::Path::new("j.jsonl"))
-        );
-    }
-
-    #[test]
-    fn ensure_only_rejects_unsupported_flags() {
-        let (common, _) = consume_all(&["--events", "e.jsonl", "--threads", "2"]).unwrap();
-        assert!(common.ensure_only(&["--events", "--threads"]).is_ok());
-        assert_eq!(
-            common.ensure_only(&["--events"]).unwrap_err(),
-            "--threads is not supported by this binary"
-        );
-        // Both cache spellings are one flag to `ensure_only`, and the
-        // error names the one given.
-        for (flag, on) in [("--trace-cache", true), ("--no-trace-cache", false)] {
-            let (common, rest) = consume_all(&[flag]).unwrap();
-            assert!(rest.is_empty());
-            assert_eq!(common.trace_cache, Some(on));
-            assert!(common.ensure_only(&["--trace-cache"]).is_ok());
+    fn resume_journals_to_the_resumed_journal_unless_journal_names_another() {
+        // (flags, the journal written); every row resumes from r.
+        let rows = [
+            ("--resume r", "r"),
+            ("--resume r --journal j", "j"),
+            ("--journal j --resume r", "j"),
+            ("--resume q --resume r", "r"),
+        ];
+        for (line, journal) in rows {
+            let options = parse(line).unwrap().sweep;
             assert_eq!(
-                common.ensure_only(&["--events"]).unwrap_err(),
-                format!("{flag} is not supported by this binary")
+                options.resume_from.as_deref(),
+                Some(Path::new("r")),
+                "{line}"
+            );
+            assert_eq!(
+                options.journal.as_deref(),
+                Some(Path::new(journal)),
+                "{line}"
             );
         }
     }
 
-    /// The setting the documented variable `BFBP_<var>` controls,
-    /// rendered (`-` for none).
-    fn setting(h: &Harness, var: &str) -> String {
-        let path = |p: Option<&std::path::Path>| p.map_or("-".into(), |p| p.display().to_string());
-        match var {
-            "TRACE_SCALE" => h.scale.to_string(),
-            "RESULTS_DIR" => path(Some(&h.results_dir)),
-            "TRACE_CACHE" => path(h.cache.dir()),
-            "SWEEP_RETRIES" => h.sweep.retry.max_attempts.to_string(),
-            "SWEEP_BACKOFF_MS" => h.sweep.retry.backoff.as_millis().to_string(),
-            "SWEEP_TIMEOUT_MS" => h
-                .sweep
+    #[test]
+    fn unsupported_shared_flags_are_rejected_as_they_are_read() {
+        let only = |supported: &[&str], line| parse_into(&mut unset(), supported, line);
+        let line = "--events e.jsonl --threads 2";
+        assert!(only(&["--events", "--threads"], line).is_ok());
+        // Rejected before its value is read, so both lines fail alike.
+        for line in [line, "--threads"] {
+            assert_eq!(
+                only(&["--events"], line).unwrap_err(),
+                "--threads is not supported by this binary"
+            );
+        }
+        // Both spellings of the cache and events flags are one flag to
+        // the supported list, and the error names the one given.
+        for (line, listed, given) in [
+            ("--trace-cache", "--trace-cache", "--trace-cache"),
+            ("--no-trace-cache", "--trace-cache", "--no-trace-cache"),
+            ("--events-out e", "--events", "--events-out"),
+        ] {
+            assert!(only(&[listed], line).is_ok(), "{line}");
+            let error = format!("{given} is not supported by this binary");
+            assert_eq!(only(&["--metrics"], line).unwrap_err(), error);
+        }
+    }
+
+    #[test]
+    fn half_a_flag_pair_is_an_error() {
+        let every = "--checkpoint-every needs --checkpoint-dir";
+        let recorder = "--flight-recorder needs --postmortem-dir";
+        let rows = [
+            ("--checkpoint-every 5", Err(every)),
+            ("--checkpoint-every 5 --checkpoint-dir d", Ok(())),
+            ("--checkpoint-dir d", Ok(())),
+            ("--checkpoint-every 0", Ok(())),
+            ("--flight-recorder 8", Err(recorder)),
+            ("--postmortem-dir p --flight-recorder 8", Ok(())),
+            ("--postmortem-dir p", Ok(())),
+        ];
+        for (line, expected) in rows {
+            let checked = parse(line).unwrap().check_pairs();
+            assert_eq!(checked, expected.map_err(str::to_owned), "{line}");
+        }
+    }
+
+    #[test]
+    fn campaigns_take_their_flags_and_switches_and_nothing_else() {
+        let campaign = |line: &str| {
+            let (mut harness, mut budget32) = (unset(), false);
+            let mut args = line.split(' ').map(str::to_owned);
+            parse_campaign(
+                &mut harness,
+                &mut [("--budget32", &mut budget32)],
+                &mut args,
+            )
+            .map(|()| (harness, budget32))
+        };
+        let (harness, budget32) = campaign("--threads 2 --progress").unwrap();
+        assert_eq!(
+            (harness.sweep.threads, harness.sweep.progress, budget32),
+            (2, true, false)
+        );
+        assert!(campaign("--budget32").unwrap().1);
+        for (line, error) in [
+            ("--bogus", "unknown argument \"--bogus\""),
+            ("--retries x", "--retries needs a count"),
+            ("--resume r", "--resume is not supported by this binary"),
+            (
+                "--flight-recorder 8",
+                "--flight-recorder needs --postmortem-dir",
+            ),
+        ] {
+            assert_eq!(campaign(line).unwrap_err(), error);
+        }
+        assert!(!TUNE_FLAGS.contains(&"--metrics") && CAMPAIGN_FLAGS.contains(&"--metrics"));
+    }
+
+    #[test]
+    fn usage_lists_exactly_the_supported_flags() {
+        for flag in SWEEP_FLAGS {
+            let usage = flags_usage(&[flag]);
+            assert_eq!(usage.matches("\n  --").count(), 1, "{usage}");
+            assert!(usage.contains(&format!("\n  {flag} ")), "{usage}");
+        }
+        let usage = flags_usage(&["--resume", "--progress"]);
+        assert!(usage.contains("every restored job") && !usage.contains("--threads"));
+    }
+
+    /// The setting named `name`, rendered (`-` for none).
+    fn setting(h: &Harness, name: &str) -> String {
+        let path = |p: Option<&Path>| p.map_or("-".into(), |p| p.display().to_string());
+        let options = &h.sweep;
+        match name {
+            "scale" => h.scale.to_string(),
+            "results_dir" => path(Some(&h.results_dir)),
+            "cache" => path(h.cache.dir()),
+            "attempts" => options.retry.max_attempts.to_string(),
+            "backoff" => options.retry.backoff.as_millis().to_string(),
+            "timeout" => options
                 .timeout
                 .map_or("-".into(), |t| t.as_millis().to_string()),
-            "SWEEP_METRICS" => h.sweep.metrics.to_string(),
-            "SWEEP_EVENTS" => path(h.sweep.events.as_deref()),
-            "SWEEP_CKPT_EVERY" => h.sweep.checkpoint_every.to_string(),
-            "SWEEP_CKPT_DIR" => path(h.sweep.checkpoint_dir.as_deref()),
-            "SWEEP_FLIGHT" => h.sweep.flight_recorder.to_string(),
-            "SWEEP_FLIGHT_DIR" => path(h.sweep.postmortem_dir.as_deref()),
-            other => panic!("undocumented variable BFBP_{other}"),
+            "metrics" => options.metrics.to_string(),
+            "events" => path(options.events.as_deref()),
+            "checkpoint_every" => options.checkpoint_every.to_string(),
+            "checkpoint_dir" => path(options.checkpoint_dir.as_deref()),
+            "flight_recorder" => options.flight_recorder.to_string(),
+            "postmortem_dir" => path(options.postmortem_dir.as_deref()),
+            other => panic!("no setting {other}"),
         }
     }
 
@@ -501,47 +521,51 @@ mod tests {
     }
 
     #[test]
-    fn every_variable_takes_effect_and_its_flag_wins() {
-        let unset = Harness::from_lookup(0.5, |_| None);
+    fn every_variable_and_flag_takes_effect() {
+        let asked = std::cell::RefCell::new(Vec::new());
+        let unset = Harness::from_lookup(0.5, |name| {
+            asked.borrow_mut().push(name.to_owned());
+            None
+        });
+        asked.borrow_mut().sort();
+        let variables = ["BFBP_RESULTS_DIR", "BFBP_TRACE_CACHE", "BFBP_TRACE_SCALE"];
+        assert_eq!(*asked.borrow(), variables);
         assert_eq!(unset.scale, 0.5);
         assert_eq!(unset.sweep, SweepOptions::new());
         assert_eq!(unset.cache, TraceCache::default_location());
-        assert_eq!(unset.results_dir, std::path::Path::new("target/results"));
+        assert_eq!(unset.results_dir, Path::new("target/results"));
 
-        // (BFBP_<var>, its value, flags over it, the setting from the
-        // variable, the setting after the flags)
-        let default_cache = setting(&unset, "TRACE_CACHE");
+        // (BFBP_<var>=value or nothing, flags, setting, its value)
+        let default_cache = setting(&unset, "cache");
         let cached = default_cache.as_str();
         let rows = [
-            ("TRACE_SCALE", "0.25", "", "0.25", "0.25"),
-            ("RESULTS_DIR", "out", "", "out", "out"),
-            ("TRACE_CACHE", "c", "--no-trace-cache", "c", "-"),
-            ("TRACE_CACHE", "0", "--trace-cache", "-", cached),
-            ("TRACE_CACHE", "off", "--trace-cache", "-", cached),
-            ("SWEEP_RETRIES", "2", "--retries 0", "3", "1"),
-            ("SWEEP_BACKOFF_MS", "10", "--backoff 25", "10", "25"),
-            ("SWEEP_TIMEOUT_MS", "50", "--timeout 250", "50", "250"),
-            ("SWEEP_TIMEOUT_MS", "50", "--timeout 0", "50", "-"),
-            ("SWEEP_METRICS", "0", "--metrics", "false", "true"),
-            ("SWEEP_METRICS", "yes", "", "true", "true"),
-            ("SWEEP_EVENTS", "e", "--events-out f", "e", "f"),
-            ("SWEEP_CKPT_EVERY", "5", "--checkpoint-every 9", "5", "9"),
-            ("SWEEP_CKPT_DIR", "c", "--checkpoint-dir d", "c", "d"),
-            ("SWEEP_FLIGHT", "64", "--flight-recorder 8", "64", "8"),
-            ("SWEEP_FLIGHT_DIR", "p", "--postmortem-dir q", "p", "q"),
+            ("TRACE_SCALE=0.25", "", "scale", "0.25"),
+            ("RESULTS_DIR=out", "", "results_dir", "out"),
+            ("TRACE_CACHE=c", "", "cache", "c"),
+            ("TRACE_CACHE=c", "--no-trace-cache", "cache", "-"),
+            ("TRACE_CACHE=0", "", "cache", "-"),
+            ("TRACE_CACHE=0", "--trace-cache", "cache", cached),
+            ("TRACE_CACHE=off", "--trace-cache", "cache", cached),
+            ("", "--retries 2", "attempts", "3"),
+            ("", "--retries 2 --retries 0", "attempts", "1"),
+            ("", "--backoff 25", "backoff", "25"),
+            ("", "--timeout 250", "timeout", "250"),
+            ("", "--timeout 250 --timeout 0", "timeout", "-"),
+            ("", "--metrics", "metrics", "true"),
+            ("", "--events-out f", "events", "f"),
+            ("", "--events f", "events", "f"),
+            ("", "--checkpoint-every 9", "checkpoint_every", "9"),
+            ("", "--checkpoint-dir d", "checkpoint_dir", "d"),
+            ("", "--flight-recorder 8", "flight_recorder", "8"),
+            ("", "--postmortem-dir q", "postmortem_dir", "q"),
         ];
-        for (var, value, flags, from_var, from_flags) in rows {
-            let harness = only(var, value);
-            assert_eq!(setting(&harness, var), from_var, "BFBP_{var}={value}");
-            let line: Vec<&str> = flags.split_whitespace().collect();
-            let (common, rest) = consume_all(&line).unwrap();
-            assert!(rest.is_empty());
-            let harness = harness.with_flags(&common);
-            assert_eq!(
-                setting(&harness, var),
-                from_flags,
-                "BFBP_{var} under {flags}"
-            );
+        for (variable, flags, name, expected) in rows {
+            let (var, value) = variable.split_once('=').unwrap_or_default();
+            let mut harness = only(var, value);
+            assert!(parse_into(&mut harness, SWEEP_FLAGS, flags)
+                .unwrap()
+                .is_empty());
+            assert_eq!(setting(&harness, name), expected, "BFBP_{variable} {flags}");
         }
 
         // Malformed numbers, empty paths and the cache's "on" spellings
@@ -553,16 +577,6 @@ mod tests {
             ("TRACE_CACHE", ""),
             ("TRACE_CACHE", "1"),
             ("TRACE_CACHE", "on"),
-            ("SWEEP_RETRIES", "many"),
-            ("SWEEP_BACKOFF_MS", "-1"),
-            ("SWEEP_TIMEOUT_MS", "0"),
-            ("SWEEP_TIMEOUT_MS", "soon"),
-            ("SWEEP_METRICS", ""),
-            ("SWEEP_EVENTS", ""),
-            ("SWEEP_CKPT_EVERY", "often"),
-            ("SWEEP_CKPT_DIR", ""),
-            ("SWEEP_FLIGHT", "1.5"),
-            ("SWEEP_FLIGHT_DIR", ""),
         ];
         for (var, value) in ignored {
             assert_eq!(only(var, value), unset, "BFBP_{var}={value:?}");
@@ -574,11 +588,17 @@ mod tests {
         let events =
             std::env::temp_dir().join(format!("bfbp-cli-events-{}.jsonl", std::process::id()));
         let _ = std::fs::remove_file(&events);
-        let (common, _) =
-            consume_all(&["--events-out", events.to_str().unwrap(), "--no-trace-cache"]).unwrap();
-        let runner = Harness::from_lookup(0.001, |_| None)
-            .with_flags(&common)
-            .suite_runner();
+        let mut harness = Harness::from_lookup(0.001, |_| None);
+        let mut path = std::iter::once(events.display().to_string());
+        assert_eq!(
+            harness.parse_flag(SWEEP_FLAGS, "--events-out", &mut path),
+            Ok(true)
+        );
+        assert_eq!(
+            parse_into(&mut harness, SWEEP_FLAGS, "--no-trace-cache"),
+            Ok(vec![])
+        );
+        let runner = harness.suite_runner();
         assert_eq!(runner.traces().len(), 40);
         let journal = std::fs::read_to_string(&events).unwrap();
         let fetches = journal

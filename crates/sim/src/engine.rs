@@ -504,6 +504,8 @@ pub struct SweepReport {
     obs: Vec<Option<JobObs>>,
     threads: usize,
     wall: Duration,
+    /// Sum of the wall times of the jobs this sweep executed.
+    cpu: Duration,
     resumed: usize,
 }
 
@@ -612,12 +614,14 @@ impl SweepReport {
         self.wall
     }
 
-    /// Sum of per-job wall times — the work a serial run would do.
+    /// Sum of the wall times of the jobs this sweep executed — the work
+    /// a serial run would do. Jobs restored from a resume journal ran in
+    /// an earlier sweep and are not counted.
     pub fn cpu(&self) -> Duration {
-        self.jobs.iter().map(|j| j.wall).sum()
+        self.cpu
     }
 
-    /// Observed parallel speedup: total job time over wall time.
+    /// Observed parallel speedup: executed job time over wall time.
     pub fn speedup(&self) -> f64 {
         let wall = self.wall.as_secs_f64();
         if wall <= 0.0 {
@@ -1556,6 +1560,7 @@ pub fn sweep_inputs(
     let mut executed = slots.into_inner().unwrap_or_else(PoisonError::into_inner);
 
     let mut job_obs: Vec<Option<JobObs>> = Vec::with_capacity(n_jobs);
+    let mut cpu = Duration::ZERO;
     let jobs: Vec<JobOutcome> = (0..n_jobs)
         .map(|job| {
             if let Some(outcome) = restored.remove(&job) {
@@ -1575,6 +1580,7 @@ pub fn sweep_inputs(
                 )
             });
             job_obs.push(obs.map(|boxed| *boxed));
+            cpu += outcome.wall;
             outcome
         })
         .collect();
@@ -1586,6 +1592,7 @@ pub fn sweep_inputs(
         obs: job_obs,
         threads,
         wall: start.elapsed(),
+        cpu,
         resumed,
     };
     let summary = report.summary();

@@ -80,14 +80,16 @@ impl std::error::Error for EventsError {}
 /// Parses a `bfbp-events/1` journal text into its event lines, through
 /// [`parse_lines`]: a malformed **final** line is a write torn by a crash
 /// and is dropped, and a malformed earlier line is a hard error (something
-/// other than a torn tail corrupted the file). Unknown event kinds and
-/// unknown keys pass through untouched.
+/// other than a torn tail corrupted the file). Line 1 is read as a header,
+/// like the sweep journal's: every journal starts with an event, so a
+/// file whose first line is not one is an error even when it is the only
+/// line. Unknown event kinds and unknown keys pass through untouched.
 ///
 /// # Errors
 ///
-/// [`EventsError::Line`] for a malformed non-final line.
+/// [`EventsError::Line`] for a malformed first or non-final line.
 pub fn parse_events(text: impl AsRef<[u8]>) -> Result<Vec<ParsedEvent>, EventsError> {
-    parse_lines(text.as_ref(), false, |_, fields| {
+    parse_lines(text.as_ref(), true, |_, fields| {
         let ev = fields
             .get("ev")
             .and_then(JsonValue::as_str)
@@ -331,6 +333,20 @@ mod tests {
             parse_events(&keyless),
             Err(EventsError::Line { line: 1, .. })
         ));
+        // Line 1 is the journal's first event, never a torn tail: a file
+        // that does not start with an event fails there, even when it is
+        // the only line. An empty file is an empty journal.
+        for text in [
+            "this is not a journal",
+            "this is not a journal\n",
+            "{\"ev\": \"jou",
+        ] {
+            assert!(
+                matches!(parse_events(text), Err(EventsError::Line { line: 1, .. })),
+                "{text:?}"
+            );
+        }
+        assert_eq!(parse_events(""), Ok(Vec::new()));
     }
 
     #[test]

@@ -5,8 +5,6 @@
 //! checkpoint-reference interplay, and cancellation-aware retry backoff.
 
 use std::fs;
-use std::path::PathBuf;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
 use bfbp::sim::ckpt::{SimCheckpoint, StateReader};
@@ -19,13 +17,8 @@ use bfbp::sim::RetryPolicy;
 use bfbp::trace::record::Trace;
 use bfbp::trace::synth::suite;
 
-/// A unique scratch path under the target temp dir.
-fn scratch(name: &str) -> PathBuf {
-    static SEQ: AtomicUsize = AtomicUsize::new(0);
-    let dir = std::env::temp_dir().join(format!("bfbp-ckpt-tests-{}", std::process::id()));
-    fs::create_dir_all(&dir).expect("create scratch dir");
-    dir.join(format!("{}-{name}", SEQ.fetch_add(1, Ordering::Relaxed)))
-}
+mod common;
+use common::Scratch;
 
 fn int1(n_records: usize) -> Trace {
     suite::find("INT1")
@@ -126,6 +119,7 @@ fn snapshot_restore_roundtrip_matches_uninterrupted_run_for_every_predictor() {
 /// uninterrupted run — for every registry predictor.
 #[test]
 fn kill_and_resume_is_byte_identical_for_every_predictor() {
+    let scratch = Scratch::new();
     let registry = bfbp::default_registry();
     let trace = int1(10_000);
     for name in registry.names() {
@@ -140,7 +134,7 @@ fn kill_and_resume_is_byte_identical_for_every_predictor() {
         .expect("clean sweep");
         assert!(clean.is_fully_ok(), "{name}: clean run");
 
-        let dir = scratch(&format!("ckpt-{name}"));
+        let dir = scratch.join(&format!("ckpt-{name}"));
         fs::create_dir_all(&dir).expect("create checkpoint dir");
         // Chunk boundaries land every 4096 records, so the kill at 9000
         // fires at 10000 (end of trace) with checkpoints already written
@@ -167,7 +161,7 @@ fn kill_and_resume_is_byte_identical_for_every_predictor() {
             "{name}: the killed job must leave its checkpoint on disk"
         );
 
-        let events = scratch(&format!("resume-{name}.events.jsonl"));
+        let events = scratch.join(&format!("resume-{name}.events.jsonl"));
         let resumed = sweep_inputs(
             &registry,
             &specs,
@@ -206,6 +200,7 @@ fn kill_and_resume_is_byte_identical_for_every_predictor() {
 /// byte-identical to an uninterrupted run.
 #[test]
 fn corrupt_checkpoint_is_quarantined_and_the_job_reruns_from_zero() {
+    let scratch = Scratch::new();
     let registry = bfbp::default_registry();
     let trace = int1(10_000);
     let specs = vec![PredictorSpec::new("gshare")];
@@ -213,7 +208,7 @@ fn corrupt_checkpoint_is_quarantined_and_the_job_reruns_from_zero() {
     let clean =
         sweep_inputs(&registry, &specs, &inputs, &SweepOptions::serial()).expect("clean sweep");
 
-    let dir = scratch("corrupt-ckpt");
+    let dir = scratch.join("corrupt-ckpt");
     fs::create_dir_all(&dir).expect("create checkpoint dir");
     sweep_inputs(
         &registry,
@@ -232,7 +227,7 @@ fn corrupt_checkpoint_is_quarantined_and_the_job_reruns_from_zero() {
     bytes[mid] ^= 0xff;
     fs::write(&ckpt_file, &bytes).expect("write corrupted checkpoint");
 
-    let events = scratch("corrupt-ckpt.events.jsonl");
+    let events = scratch.join("corrupt-ckpt.events.jsonl");
     let resumed = sweep_inputs(
         &registry,
         &specs,
@@ -265,9 +260,10 @@ fn corrupt_checkpoint_is_quarantined_and_the_job_reruns_from_zero() {
 /// another: the stale file is quarantined and the job runs from zero.
 #[test]
 fn stale_checkpoint_from_a_different_matrix_is_quarantined() {
+    let scratch = Scratch::new();
     let registry = bfbp::default_registry();
     let trace = int1(10_000);
-    let dir = scratch("stale-ckpt");
+    let dir = scratch.join("stale-ckpt");
     fs::create_dir_all(&dir).expect("create checkpoint dir");
 
     let gshare = vec![PredictorSpec::new("gshare")];
@@ -313,6 +309,7 @@ fn stale_checkpoint_from_a_different_matrix_is_quarantined() {
 /// reproduces the uninterrupted document.
 #[test]
 fn killed_jobs_stay_out_of_the_journal_and_resume_from_their_checkpoints() {
+    let scratch = Scratch::new();
     let registry = bfbp::default_registry();
     let traces = [int1(10_000), {
         suite::find("MM2")
@@ -330,9 +327,9 @@ fn killed_jobs_stay_out_of_the_journal_and_resume_from_their_checkpoints() {
     let clean =
         sweep_inputs(&registry, &specs, &inputs, &SweepOptions::serial()).expect("clean sweep");
 
-    let dir = scratch("journal-ckpt");
+    let dir = scratch.join("journal-ckpt");
     fs::create_dir_all(&dir).expect("create checkpoint dir");
-    let journal = scratch("killed.journal");
+    let journal = scratch.join("killed.journal");
     // Kill job 2 (bimodal on INT1) after the 4096-record checkpoint.
     let killed = sweep_inputs(
         &registry,

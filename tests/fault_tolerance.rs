@@ -4,8 +4,6 @@
 //! the degraded paths.
 
 use std::fs;
-use std::path::PathBuf;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Duration;
 
 use bfbp::sim::engine::{sweep, sweep_inputs, JobStatus, SweepError, SweepOptions, TraceInput};
@@ -15,6 +13,9 @@ use bfbp::sim::registry::PredictorSpec;
 use bfbp::sim::runner::SuiteRunner;
 use bfbp::trace::format::{corrupt, write_trace};
 use bfbp::trace::synth::suite;
+
+mod common;
+use common::Scratch;
 
 fn small_runner() -> SuiteRunner {
     let specs: Vec<_> = ["INT1", "MM2"]
@@ -31,14 +32,6 @@ fn small_specs() -> Vec<PredictorSpec> {
     ]
 }
 
-/// A unique scratch path under the target temp dir.
-fn scratch(name: &str) -> PathBuf {
-    static SEQ: AtomicUsize = AtomicUsize::new(0);
-    let dir = std::env::temp_dir().join(format!("bfbp-fault-tests-{}", std::process::id()));
-    fs::create_dir_all(&dir).expect("create scratch dir");
-    dir.join(format!("{}-{name}", SEQ.fetch_add(1, Ordering::Relaxed)))
-}
-
 /// The acceptance scenario from the fault-tolerance issue: a four-job
 /// sweep where one job panics, one times out, and one hits a corrupt
 /// trace. The sweep must complete the remaining job, record accurate
@@ -47,10 +40,11 @@ fn scratch(name: &str) -> PathBuf {
 /// byte-identical to an all-healthy run.
 #[test]
 fn acceptance_panic_timeout_corruption_then_resume() {
+    let scratch = Scratch::new();
     let registry = bfbp::default_registry();
     let runner = small_runner();
     let specs = small_specs();
-    let journal = scratch("acceptance.journal");
+    let journal = scratch.join("acceptance.journal");
 
     // Round 1: jobs 0 (panic), 1 (delayed into the timeout), and
     // 2 (corrupt trace load) all degrade; job 3 completes.
@@ -121,10 +115,11 @@ fn acceptance_panic_timeout_corruption_then_resume() {
 /// still reads every finished job.
 #[test]
 fn a_torn_journal_line_survives_two_resumes() {
+    let scratch = Scratch::new();
     let registry = bfbp::default_registry();
     let runner = small_runner();
     let specs = small_specs();
-    let journal = scratch("torn.journal");
+    let journal = scratch.join("torn.journal");
     let run = |options: SweepOptions| {
         sweep(&registry, &specs, &runner, &options.with_threads(2)).expect("sweep")
     };
@@ -154,10 +149,11 @@ fn a_torn_journal_line_survives_two_resumes() {
 /// into it, so a resume from that file restores the whole matrix.
 #[test]
 fn a_resume_into_another_journal_carries_every_finished_job() {
+    let scratch = Scratch::new();
     let registry = bfbp::default_registry();
     let runner = small_runner();
     let specs = small_specs();
-    let (p, q) = (scratch("p.journal"), scratch("q.journal"));
+    let (p, q) = (scratch.join("p.journal"), scratch.join("q.journal"));
     let run = |options: &SweepOptions| sweep(&registry, &specs, &runner, options).expect("sweep");
 
     run(&SweepOptions::default()
@@ -170,6 +166,35 @@ fn a_resume_into_another_journal_carries_every_finished_job() {
     let from_q = run(&SweepOptions::default().resuming(&q));
     assert_eq!(from_q.summary().resumed, 4, "every job restores from Q");
     assert_eq!(from_q.results_json(), into_q.results_json());
+}
+
+/// A resumed sweep reports only its own work: `cpu`, and with it
+/// `speedup`, sums the jobs this run executed, while each restored job
+/// keeps the wall time its journal line holds (its successful
+/// attempt's, to the microsecond).
+#[test]
+fn a_resume_counts_only_the_jobs_it_ran() {
+    let scratch = Scratch::new();
+    let registry = bfbp::default_registry();
+    let runner = small_runner();
+    let specs = small_specs();
+    let journal = scratch.join("cpu.journal");
+    let run = |options: &SweepOptions| sweep(&registry, &specs, &runner, options).expect("sweep");
+
+    let first = run(&SweepOptions::default()
+        .with_journal(&journal)
+        .with_fault_plan(FaultPlan::new().panic_at(2)));
+    let resumed = run(&SweepOptions::default().resuming(&journal));
+    assert_eq!(resumed.summary().resumed, 3);
+    assert_eq!(resumed.cpu(), resumed.jobs()[2].wall);
+    for job in [0, 1, 3] {
+        let journaled = first.jobs()[job].record().expect("ok job").wall;
+        assert_eq!(
+            resumed.jobs()[job].wall.as_micros(),
+            journaled.as_micros(),
+            "restored job {job}"
+        );
+    }
 }
 
 /// Every `TraceFormatError` variant, injected into one job, must fail
@@ -243,10 +268,11 @@ fn faulted_results_json_is_thread_count_independent() {
 /// parse error in the status) while healthy files sweep normally.
 #[test]
 fn corrupt_trace_file_quarantines_its_column() {
+    let scratch = Scratch::new();
     let registry = bfbp::default_registry();
     let healthy_trace = suite::find("INT1").expect("INT1").generate_len(2_000);
 
-    let healthy_path = scratch("healthy.bfbt");
+    let healthy_path = scratch.join("healthy.bfbt");
     let mut bytes = Vec::new();
     write_trace(&mut bytes, &healthy_trace).expect("serialize");
     fs::write(&healthy_path, &bytes).expect("write healthy");
@@ -254,7 +280,7 @@ fn corrupt_trace_file_quarantines_its_column() {
     // corrupt::corrupted needs a small trace (single-byte varint
     // offsets); corruption severity does not depend on length.
     let small_trace = suite::find("INT1").expect("INT1").generate_len(100);
-    let corrupt_path = scratch("corrupt.bfbt");
+    let corrupt_path = scratch.join("corrupt.bfbt");
     fs::write(
         &corrupt_path,
         corrupt::corrupted(&small_trace, corrupt::CorruptKind::ChecksumMismatch),
@@ -290,7 +316,8 @@ fn corrupt_trace_file_quarantines_its_column() {
 /// other corrupt file, with no allocation of the claimed length.
 #[test]
 fn huge_name_length_file_is_unavailable_not_an_abort() {
-    let path = scratch("huge-name.bfbt");
+    let scratch = Scratch::new();
+    let path = scratch.join("huge-name.bfbt");
     fs::write(&path, b"BFBT\x01\x00\xff\xff\xff\xff\x3fx").expect("write header");
     match TraceInput::from_file(&path) {
         TraceInput::Unavailable { name, error } => {
@@ -308,10 +335,11 @@ fn huge_name_length_file_is_unavailable_not_an_abort() {
 /// `timed_out` status.
 #[test]
 fn watchdog_timeout_is_visible_in_the_event_journal() {
+    let scratch = Scratch::new();
     let registry = bfbp::default_registry();
     let runner = small_runner();
     let specs = vec![PredictorSpec::new("gshare").labeled("g")];
-    let events = scratch("timeout.events.jsonl");
+    let events = scratch.join("timeout.events.jsonl");
 
     let options = SweepOptions::default()
         .with_threads(1)
@@ -344,9 +372,10 @@ fn watchdog_timeout_is_visible_in_the_event_journal() {
 /// trace scale.
 #[test]
 fn resume_rejects_a_journal_from_a_different_matrix() {
+    let scratch = Scratch::new();
     let registry = bfbp::default_registry();
     let runner = small_runner();
-    let journal = scratch("mismatch.journal");
+    let journal = scratch.join("mismatch.journal");
 
     let specs_a = small_specs();
     sweep(

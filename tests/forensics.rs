@@ -6,7 +6,6 @@
 
 use std::fs;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicUsize, Ordering};
 
 use bfbp::sim::engine::{sweep, JobStatus, RetryPolicy, SweepOptions};
 use bfbp::sim::fault::FaultPlan;
@@ -16,6 +15,9 @@ use bfbp::sim::obs::{Event, EventJournal};
 use bfbp::sim::registry::PredictorSpec;
 use bfbp::sim::runner::SuiteRunner;
 use bfbp::trace::synth::suite;
+
+mod common;
+use common::Scratch;
 
 fn small_runner() -> SuiteRunner {
     let specs: Vec<_> = ["INT1", "MM2"]
@@ -30,14 +32,6 @@ fn small_specs() -> Vec<PredictorSpec> {
         PredictorSpec::new("gshare").labeled("g"),
         PredictorSpec::new("bimodal").labeled("b"),
     ]
-}
-
-/// A unique scratch path under the temp dir.
-fn scratch(name: &str) -> PathBuf {
-    static SEQ: AtomicUsize = AtomicUsize::new(0);
-    let dir = std::env::temp_dir().join(format!("bfbp-forensics-tests-{}", std::process::id()));
-    fs::create_dir_all(&dir).expect("create scratch dir");
-    dir.join(format!("{}-{name}", SEQ.fetch_add(1, Ordering::Relaxed)))
 }
 
 /// Every registered predictor must attribute every prediction: after
@@ -89,6 +83,7 @@ fn registry_wide_provenance_matches_reported_prediction() {
 /// update and never feeds back into the simulation.
 #[test]
 fn flight_recorder_never_perturbs_results() {
+    let scratch = Scratch::new();
     let registry = bfbp::default_registry();
     let runner = small_runner();
     let specs = small_specs();
@@ -102,7 +97,7 @@ fn flight_recorder_never_perturbs_results() {
     .expect("plain sweep");
 
     for threads in [1usize, 4] {
-        let dir = scratch(&format!("ring-{threads}"));
+        let dir = scratch.join(&format!("ring-{threads}"));
         let recorded = sweep(
             &registry,
             &specs,
@@ -135,11 +130,12 @@ fn flight_recorder_never_perturbs_results() {
 /// through a `postmortem` event.
 #[test]
 fn killed_job_leaves_valid_postmortem_dump() {
+    let scratch = Scratch::new();
     let registry = bfbp::default_registry();
     let runner = small_runner();
     let specs = small_specs();
-    let dir = scratch("killed-pm");
-    let events = scratch("killed.events.jsonl");
+    let dir = scratch.join("killed-pm");
+    let events = scratch.join("killed.events.jsonl");
 
     let report = sweep(
         &registry,
@@ -222,11 +218,12 @@ fn killed_job_leaves_valid_postmortem_dump() {
 /// torn *earlier* line must be a hard error.
 #[test]
 fn events_journal_round_trips_through_shared_parser() {
+    let scratch = Scratch::new();
     let registry = bfbp::default_registry();
     let runner = small_runner();
     let specs = small_specs();
-    let events = scratch("roundtrip.events.jsonl");
-    let dir = scratch("roundtrip-pm");
+    let events = scratch.join("roundtrip.events.jsonl");
+    let dir = scratch.join("roundtrip-pm");
 
     let report = sweep(
         &registry,
@@ -287,7 +284,8 @@ fn events_journal_round_trips_through_shared_parser() {
 /// header.
 #[test]
 fn reopening_an_events_journal_cuts_a_torn_final_line() {
-    let path = scratch("torn.events.jsonl");
+    let scratch = Scratch::new();
+    let path = scratch.join("torn.events.jsonl");
     let journal = EventJournal::create(&path).expect("create journal");
     journal.emit(Event::new("job_open").num("job", 0));
     drop(journal);
@@ -319,11 +317,12 @@ fn reopening_an_events_journal_cuts_a_torn_final_line() {
 /// thread row, and the fault instants present.
 #[test]
 fn chrome_trace_export_is_valid_and_complete() {
+    let scratch = Scratch::new();
     let registry = bfbp::default_registry();
     let runner = small_runner();
     let specs = small_specs();
-    let events = scratch("chrome.events.jsonl");
-    let dir = scratch("chrome-pm");
+    let events = scratch.join("chrome.events.jsonl");
+    let dir = scratch.join("chrome-pm");
 
     let report = sweep(
         &registry,

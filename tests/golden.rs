@@ -11,8 +11,7 @@
 
 use std::collections::BTreeMap;
 use std::fs;
-use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::path::Path;
 use std::time::Duration;
 
 use bfbp::sim::ckpt::{fnv1a, JobCheckpoint, SimCheckpoint};
@@ -38,13 +37,8 @@ use bfbp::trace::record::{BranchKind, BranchRecord};
 use bfbp::trace::synth::suite;
 use bfbp::trace::TraceChunk;
 
-/// A unique scratch path under the temp dir.
-fn scratch(name: &str) -> PathBuf {
-    static SEQ: AtomicUsize = AtomicUsize::new(0);
-    let dir = std::env::temp_dir().join(format!("bfbp-golden-tests-{}", std::process::id()));
-    fs::create_dir_all(&dir).expect("create scratch dir");
-    dir.join(format!("{}-{name}", SEQ.fetch_add(1, Ordering::Relaxed)))
-}
+mod common;
+use common::Scratch;
 
 /// Compares `actual` with `tests/golden/<name>` byte for byte.
 fn golden(name: &str, actual: &str) {
@@ -53,7 +47,9 @@ fn golden(name: &str, actual: &str) {
         .join(name);
     let expected = fs::read_to_string(&path).unwrap_or_default();
     if actual != expected {
-        let produced = scratch(name);
+        // Kept: the scratch directory outlives a failing test.
+        let scratch = Scratch::new();
+        let produced = scratch.join(name);
         fs::write(&produced, actual).expect("write produced bytes");
         panic!(
             "{name} differs from its fixture {}; the produced bytes are in {}",
@@ -296,7 +292,8 @@ fn job_obs_documents() {
 /// Lines an `EventJournal` writes, with `t_us` masked.
 #[test]
 fn event_journal_lines() {
-    let path = scratch("journal.events");
+    let scratch = Scratch::new();
+    let path = scratch.join("journal.events");
     let journal = EventJournal::create(&path).expect("create journal");
     journal.emit(
         Event::new("job_close")
@@ -347,6 +344,7 @@ fn pin(path: &Path) -> (usize, u64) {
 /// A `bfbp-ckpt/1` job checkpoint file.
 #[test]
 fn job_checkpoint_file_is_pinned() {
+    let scratch = Scratch::new();
     let interval = |instructions, conditional_branches, mispredictions| IntervalPoint {
         instructions,
         conditional_branches,
@@ -368,7 +366,7 @@ fn job_checkpoint_file_is_pinned() {
         },
         observer: vec![1, 2, 3],
     };
-    let path = scratch("job.ckpt");
+    let path = scratch.join("job.ckpt");
     file.write_to(&path).expect("write checkpoint");
     assert_eq!(pin(&path), (460, 0x8e06_8f51_e6e9_a5c0));
 }
@@ -387,7 +385,8 @@ impl Drop for StopOnDrop {
 /// A serve session file, written through `ServeClient::checkpoint`.
 #[test]
 fn serve_session_file_is_pinned() {
-    let dir = scratch("sessions");
+    let scratch = Scratch::new();
+    let dir = scratch.join("sessions");
     let options = ServeOptions {
         checkpoint_dir: Some(dir.clone()),
         ..ServeOptions::default()
@@ -429,7 +428,8 @@ fn serve_session_file_is_pinned() {
 /// recorded after it writes no line.
 #[test]
 fn sweep_journal_file_is_pinned() {
-    let path = scratch("sweep.journal");
+    let scratch = Scratch::new();
+    let path = scratch.join("sweep.journal");
     let journal =
         Journal::create(&path, 0xfeed_beef_0000_0001, &BTreeMap::new()).expect("create journal");
     let outcome = |status, attempts| JobOutcome {

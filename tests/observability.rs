@@ -6,13 +6,14 @@
 //! it must be deterministic across thread counts.
 
 use std::fs;
-use std::path::PathBuf;
-use std::sync::atomic::{AtomicUsize, Ordering};
 
 use bfbp::sim::engine::{sweep, SweepOptions};
 use bfbp::sim::registry::PredictorSpec;
 use bfbp::sim::runner::SuiteRunner;
 use bfbp::trace::synth::suite;
+
+mod common;
+use common::Scratch;
 
 fn small_runner() -> SuiteRunner {
     let specs: Vec<_> = ["INT1", "MM2"]
@@ -27,14 +28,6 @@ fn small_specs() -> Vec<PredictorSpec> {
         PredictorSpec::new("gshare").labeled("g"),
         PredictorSpec::new("bimodal").labeled("b"),
     ]
-}
-
-/// A unique scratch path under the temp dir.
-fn scratch(name: &str) -> PathBuf {
-    static SEQ: AtomicUsize = AtomicUsize::new(0);
-    let dir = std::env::temp_dir().join(format!("bfbp-obs-tests-{}", std::process::id()));
-    fs::create_dir_all(&dir).expect("create scratch dir");
-    dir.join(format!("{}-{name}", SEQ.fetch_add(1, Ordering::Relaxed)))
 }
 
 /// Collecting metrics must not change a single byte of the results
@@ -76,10 +69,11 @@ fn metrics_collection_never_perturbs_results() {
 /// bracketing everything.
 #[test]
 fn events_journal_is_valid_jsonl_with_closed_spans() {
+    let scratch = Scratch::new();
     let registry = bfbp::default_registry();
     let runner = small_runner();
     let specs = small_specs();
-    let events = scratch("spans.events.jsonl");
+    let events = scratch.join("spans.events.jsonl");
 
     let report = sweep(
         &registry,

@@ -8,8 +8,6 @@
 //! `bfbp-ckpt/1` session checkpoints.
 
 use std::fs;
-use std::path::PathBuf;
-use std::sync::atomic::{AtomicUsize, Ordering};
 
 use bfbp::sim::service::{ServeClient, ServeError, ServeOptions, Server, ServerHandle};
 use bfbp::sim::simulate::Simulation;
@@ -18,13 +16,8 @@ use bfbp::trace::record::Trace;
 use bfbp::trace::synth::suite;
 use bfbp::trace::TraceChunk;
 
-/// A unique scratch path under the target temp dir.
-fn scratch(name: &str) -> PathBuf {
-    static SEQ: AtomicUsize = AtomicUsize::new(0);
-    let dir = std::env::temp_dir().join(format!("bfbp-serve-tests-{}", std::process::id()));
-    fs::create_dir_all(&dir).expect("create scratch dir");
-    dir.join(format!("{}-{name}", SEQ.fetch_add(1, Ordering::Relaxed)))
-}
+mod common;
+use common::Scratch;
 
 fn spec03(n_records: usize) -> Trace {
     suite::find("SPEC03")
@@ -257,9 +250,10 @@ fn protocol_misuse_gets_typed_errors_not_hangups() {
 
 #[test]
 fn graceful_shutdown_persists_the_exact_offset_and_resumes() {
+    let scratch = Scratch::new();
     let trace = spec03(2_000);
     let chunk = chunk_of(&trace);
-    let dir = scratch("graceful");
+    let dir = scratch.join("graceful");
     let options = ServeOptions {
         checkpoint_dir: Some(dir.clone()),
         ..ServeOptions::default()
@@ -306,9 +300,10 @@ fn graceful_shutdown_persists_the_exact_offset_and_resumes() {
 
 #[test]
 fn kill_and_restart_resumes_from_cadence_checkpoints() {
+    let scratch = Scratch::new();
     let trace = spec03(2_000);
     let chunk = chunk_of(&trace);
-    let dir = scratch("killed");
+    let dir = scratch.join("killed");
     let options = ServeOptions {
         checkpoint_every: 256,
         checkpoint_dir: Some(dir.clone()),
@@ -372,9 +367,10 @@ fn kill_and_restart_resumes_from_cadence_checkpoints() {
 
 #[test]
 fn closing_a_session_deletes_its_checkpoint() {
+    let scratch = Scratch::new();
     let trace = spec03(600);
     let chunk = chunk_of(&trace);
-    let dir = scratch("closed");
+    let dir = scratch.join("closed");
     let options = ServeOptions {
         checkpoint_every: 100,
         checkpoint_dir: Some(dir.clone()),

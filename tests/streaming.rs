@@ -8,8 +8,6 @@
 //! via the events journal).
 
 use std::fs;
-use std::path::PathBuf;
-use std::sync::atomic::{AtomicUsize, Ordering};
 
 use bfbp::sim::engine::{sweep_inputs, SweepOptions, TraceInput};
 use bfbp::sim::obs::EventJournal;
@@ -22,6 +20,9 @@ use bfbp::trace::source::FileSource;
 use bfbp::trace::synth::suite;
 use bfbp::trace::synth::suite::TraceSpec;
 
+mod common;
+use common::Scratch;
+
 /// The suite traces the equivalence battery runs on: one from each of
 /// three workload families, kept short enough that every registered
 /// predictor finishes the full cross-product quickly.
@@ -33,14 +34,6 @@ fn equiv_specs() -> Vec<TraceSpec> {
         .iter()
         .map(|n| suite::find(n).expect("trace in suite"))
         .collect()
-}
-
-/// A unique scratch path under the temp dir.
-fn scratch(name: &str) -> PathBuf {
-    static SEQ: AtomicUsize = AtomicUsize::new(0);
-    let dir = std::env::temp_dir().join(format!("bfbp-streaming-tests-{}", std::process::id()));
-    fs::create_dir_all(&dir).expect("create scratch dir");
-    dir.join(format!("{}-{name}", SEQ.fetch_add(1, Ordering::Relaxed)))
 }
 
 /// Every registered predictor, on every equivalence trace, must produce
@@ -124,11 +117,12 @@ fn sweeps_are_byte_identical_across_threads() {
 /// silently regenerated rather than served.
 #[test]
 fn cache_round_trip_is_invisible_to_sweep_documents() {
+    let scratch = Scratch::new();
     let registry = bfbp::default_registry();
     let specs = vec![PredictorSpec::new("bimodal").labeled("b")];
     let trace_specs = equiv_specs();
     let scale = 0.02;
-    let cache_dir = scratch("roundtrip-cache");
+    let cache_dir = scratch.join("roundtrip-cache");
     let cache = TraceCache::at(&cache_dir);
 
     let reference = {
@@ -180,21 +174,20 @@ fn cache_round_trip_is_invisible_to_sweep_documents() {
     )
     .expect("sweep after corruption");
     assert_eq!(report.results_json(), reference.results_json());
-
-    let _ = fs::remove_dir_all(&cache_dir);
 }
 
 /// A warm cache performs *zero* synthetic generation: every fetch in the
 /// second round journals as a `hit`, none as `generated`.
 #[test]
 fn warm_cache_does_zero_generation_per_events_journal() {
+    let scratch = Scratch::new();
     let trace_specs = equiv_specs();
     let scale = 0.02;
-    let cache_dir = scratch("warm-cache");
+    let cache_dir = scratch.join("warm-cache");
     let cache = TraceCache::at(&cache_dir);
 
     let journal_for = |tag: &str| {
-        let path = scratch(&format!("{tag}.events.jsonl"));
+        let path = scratch.join(&format!("{tag}.events.jsonl"));
         (EventJournal::create(&path).expect("create journal"), path)
     };
 
@@ -222,8 +215,6 @@ fn warm_cache_does_zero_generation_per_events_journal() {
         0,
         "warm round must perform zero synthetic generation: {warm}"
     );
-
-    let _ = fs::remove_dir_all(&cache_dir);
 }
 
 fn ready_inputs(runner: &SuiteRunner) -> Vec<TraceInput> {

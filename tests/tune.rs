@@ -5,8 +5,6 @@
 //! matrix guard.
 
 use std::fs;
-use std::path::PathBuf;
-use std::sync::atomic::{AtomicUsize, Ordering};
 
 use bfbp::sim::engine::SweepError;
 use bfbp::sim::fault::FaultPlan;
@@ -14,19 +12,15 @@ use bfbp::sim::journal::JournalError;
 use bfbp::sim::tune::{rung_journal, tune, SearchSpace, TuneError, TuneOptions, MAX_CANDIDATES};
 use bfbp::trace::synth::suite::{self, TraceSpec};
 
+mod common;
+use common::Scratch;
+
 /// The committed tiny search space the acceptance criteria run on:
 /// 8 BF-ISL-TAGE configurations (4 table counts x SC on/off).
 const TINY_SPACE: &str = "bf-isl-tage:tables=4..7,sc=true|false";
 
 /// Generous budget admitting every configuration in [`TINY_SPACE`].
 const OPEN_BUDGET_BITS: u64 = 1024 * 1024 * 8;
-
-fn scratch(name: &str) -> PathBuf {
-    static SEQ: AtomicUsize = AtomicUsize::new(0);
-    let dir = std::env::temp_dir().join(format!("bfbp-tune-tests-{}", std::process::id()));
-    fs::create_dir_all(&dir).expect("create scratch dir");
-    dir.join(format!("{}-{name}", SEQ.fetch_add(1, Ordering::Relaxed)))
-}
 
 fn tiny_traces() -> Vec<TraceSpec> {
     ["SPEC03", "MM1"]
@@ -46,6 +40,7 @@ fn tiny_options() -> TuneOptions {
 
 #[test]
 fn frontier_is_byte_identical_across_thread_counts() {
+    let scratch = Scratch::new();
     let registry = bfbp::default_registry();
     let space = SearchSpace::parse(TINY_SPACE).expect("tiny space parses");
     let traces = tiny_traces();
@@ -66,8 +61,8 @@ fn frontier_is_byte_identical_across_thread_counts() {
     );
 
     // And the files the CLI would write are byte-identical too.
-    let p1 = scratch("frontier-1t.json");
-    let p4 = scratch("frontier-4t.json");
+    let p1 = scratch.join("frontier-1t.json");
+    let p4 = scratch.join("frontier-4t.json");
     one.write_frontier(&p1).expect("write 1-thread frontier");
     four.write_frontier(&p4).expect("write 4-thread frontier");
     assert_eq!(
@@ -79,7 +74,7 @@ fn frontier_is_byte_identical_across_thread_counts() {
 
 /// A journaled tune of [`TINY_SPACE`] and the frontier of the same run
 /// uninterrupted and unjournaled, to compare resumes against.
-fn journaled_run(name: &str) -> (TuneOptions, String) {
+fn journaled_run(scratch: &Scratch, name: &str) -> (TuneOptions, String) {
     let registry = bfbp::default_registry();
     let space = SearchSpace::parse(TINY_SPACE).expect("tiny space parses");
     let traces = tiny_traces();
@@ -93,7 +88,7 @@ fn journaled_run(name: &str) -> (TuneOptions, String) {
     .expect("reference tune");
 
     let mut journaled = tiny_options();
-    journaled.state = Some(scratch(name));
+    journaled.state = Some(scratch.join(name));
     let full =
         tune(&registry, &space, OPEN_BUDGET_BITS, &traces, &journaled).expect("journaled tune");
     assert_eq!(
@@ -127,7 +122,8 @@ fn resume(options: &TuneOptions, reference: &str) -> Vec<bool> {
 
 #[test]
 fn resume_at_rung_boundary_reproduces_uninterrupted_frontier() {
-    let (options, reference) = journaled_run("boundary.state");
+    let scratch = Scratch::new();
+    let (options, reference) = journaled_run(&scratch, "boundary.state");
     let state = options.state.clone().expect("state path");
 
     // Kill at the rung-0/rung-1 boundary: rung 1's journal was never
@@ -142,7 +138,8 @@ fn resume_at_rung_boundary_reproduces_uninterrupted_frontier() {
 
 #[test]
 fn resume_mid_rung_reproduces_uninterrupted_frontier() {
-    let (options, reference) = journaled_run("mid-rung.state");
+    let scratch = Scratch::new();
+    let (options, reference) = journaled_run(&scratch, "mid-rung.state");
     let state = options.state.clone().expect("state path");
 
     // Kill in the middle of rung 1: its journal holds the header and
@@ -190,12 +187,13 @@ fn every_frontier_point_fits_the_budget() {
 
 #[test]
 fn state_from_a_different_run_is_rejected_on_resume() {
+    let scratch = Scratch::new();
     let registry = bfbp::default_registry();
     let space = SearchSpace::parse(TINY_SPACE).expect("tiny space parses");
     let traces = tiny_traces();
 
     let mut writer = tiny_options();
-    writer.state = Some(scratch("mismatch.state"));
+    writer.state = Some(scratch.join("mismatch.state"));
     tune(&registry, &space, OPEN_BUDGET_BITS, &traces, &writer).expect("seeding tune");
 
     // Same rung journals, another trace scale: every rung's trace
@@ -213,12 +211,13 @@ fn state_from_a_different_run_is_rejected_on_resume() {
 
 #[test]
 fn a_fresh_run_removes_older_rung_journals() {
+    let scratch = Scratch::new();
     let registry = bfbp::default_registry();
     let space = SearchSpace::parse(TINY_SPACE).expect("tiny space parses");
     let traces = tiny_traces();
 
     let mut options = tiny_options();
-    let state = scratch("fresh.state");
+    let state = scratch.join("fresh.state");
     options.state = Some(state.clone());
     tune(&registry, &space, OPEN_BUDGET_BITS, &traces, &options).expect("first tune");
     assert!(rung_journal(&state, 1).exists(), "rung journals are kept");
