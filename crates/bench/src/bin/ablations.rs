@@ -2,5 +2,6 @@
 //! positional history, folded history, loop predictor, probabilistic
 //! BST, stack depth, and the recent unfiltered component.
 fn main() {
-    bfbp_bench::experiments::design_ablations(&bfbp_bench::cli::campaign(1.0, &mut []));
+    let harness = bfbp_bench::cli::campaign(1.0, bfbp_bench::cli::CAMPAIGN_FLAGS, &mut []);
+    bfbp_bench::experiments::design_ablations(&harness);
 }

@@ -2,12 +2,12 @@
 //! reduced scale. Development aid, not a paper figure. Its sweep takes
 //! the campaign's shared flags (`bfbp_bench::cli::CAMPAIGN_FLAGS`).
 
-use bfbp_bench::{banner, print_mpki_table};
+use bfbp_bench::{banner, cli, print_mpki_table};
 use bfbp_sim::engine::sweep;
 use bfbp_sim::registry::PredictorSpec;
 
 fn main() {
-    let harness = bfbp_bench::cli::campaign(0.2, &mut []);
+    let harness = cli::campaign(0.2, cli::CAMPAIGN_FLAGS, &mut []);
     banner("calibration", &format!("suite scale {}", harness.scale));
     let registry = bfbp::default_registry();
     let runner = harness.suite_runner();

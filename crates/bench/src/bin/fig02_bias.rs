@@ -1,4 +1,5 @@
 //! Regenerates Figure 2 (biased-branch percentages per trace).
 fn main() {
-    bfbp_bench::experiments::fig02_bias(&bfbp_bench::cli::campaign(1.0, &mut []));
+    let harness = bfbp_bench::cli::campaign(1.0, &["--events", "--trace-cache"], &mut []);
+    bfbp_bench::experiments::fig02_bias(&harness);
 }

@@ -1,4 +1,5 @@
 //! Regenerates Figure 11 (relative improvement over 10-table TAGE).
 fn main() {
-    bfbp_bench::experiments::fig11_relative(&bfbp_bench::cli::campaign(1.0, &mut []));
+    let harness = bfbp_bench::cli::campaign(1.0, bfbp_bench::cli::CAMPAIGN_FLAGS, &mut []);
+    bfbp_bench::experiments::fig11_relative(&harness);
 }

@@ -1,4 +1,5 @@
 //! Regenerates the §VI-D static-profile-assisted classification study.
 fn main() {
-    bfbp_bench::experiments::profile_assist(&bfbp_bench::cli::campaign(1.0, &mut []));
+    let harness = bfbp_bench::cli::campaign(1.0, &["--trace-cache"], &mut []);
+    bfbp_bench::experiments::profile_assist(&harness);
 }

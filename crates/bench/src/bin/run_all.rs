@@ -20,10 +20,10 @@
 //! `--journal` and `--resume` are rejected, since one path cannot serve
 //! the campaign's many sweeps.
 
-use bfbp_bench::experiments;
+use bfbp_bench::{cli, experiments};
 
 fn main() {
-    let harness = bfbp_bench::cli::campaign(1.0, &mut []);
+    let harness = cli::campaign(1.0, cli::CAMPAIGN_FLAGS, &mut []);
     experiments::fig02_bias(&harness);
     experiments::fig08_mpki(&harness);
     experiments::fig08_32kb(&harness);

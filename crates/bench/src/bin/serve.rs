@@ -54,7 +54,7 @@ fn main() -> ExitCode {
             other => return usage(&format!("unknown argument {other:?}")),
         }
     }
-    if let Err(e) = harness.check_pairs() {
+    if let Err(e) = harness.finish_flags() {
         return usage(&e);
     }
     options.checkpoint_every = harness.sweep.checkpoint_every;

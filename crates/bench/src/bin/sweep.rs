@@ -113,12 +113,9 @@ fn main() -> ExitCode {
                 Some(path) => trace_files.push(path),
                 None => return usage("--trace-file needs a path"),
             },
-            "--metrics-out" => match args.next().filter(|path| !path.is_empty()) {
-                Some(path) => {
-                    harness.sweep.metrics = true;
-                    metrics_out = Some(path.into());
-                }
-                None => return usage("--metrics-out needs a path"),
+            "--metrics-out" => match parse_metrics_out(&mut harness, args.next()) {
+                Ok(path) => metrics_out = Some(path),
+                Err(e) => return usage(&e),
             },
             text => match PredictorSpec::parse(text) {
                 Ok(s) => specs.push(s),
@@ -129,7 +126,7 @@ fn main() -> ExitCode {
     if specs.is_empty() {
         return usage("no predictor specs given");
     }
-    if let Err(e) = harness.check_pairs() {
+    if let Err(e) = harness.finish_flags() {
         return usage(&e);
     }
 
@@ -257,7 +254,35 @@ fn usage(err: &str) -> ExitCode {
          plan: e.g. panic@1,panic@4=1,delay@2=50,io@3=checksum,skip@5,kill@6=5000,random@42=0.1\n\
          --metrics-out PATH: collect metrics and write the bfbp-metrics/1 document here\n\
          {}",
-        cli::flags_usage(cli::SWEEP_FLAGS)
+        cli::FLAG_HELP
     );
     ExitCode::from(2)
+}
+
+/// `--metrics-out` with its `path`: turns metrics collection on and
+/// returns the file the document goes to.
+fn parse_metrics_out(harness: &mut Harness, path: Option<String>) -> Result<PathBuf, String> {
+    let path = path.filter(|path| !path.is_empty());
+    let path = path.ok_or("--metrics-out needs a path")?;
+    harness.sweep.metrics = true;
+    Ok(path.into())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn metrics_out_turns_metrics_on_and_records_the_path() {
+        for (path, expected) in [
+            (Some("m.json"), Ok(PathBuf::from("m.json"))),
+            (Some(""), Err("--metrics-out needs a path".to_owned())),
+            (None, Err("--metrics-out needs a path".to_owned())),
+        ] {
+            let mut harness = Harness::from_lookup(1.0, |_| None);
+            let given = parse_metrics_out(&mut harness, path.map(str::to_owned));
+            assert_eq!(harness.sweep.metrics, expected.is_ok(), "{path:?}");
+            assert_eq!(given, expected);
+        }
+    }
 }

@@ -108,7 +108,7 @@ fn main() -> ExitCode {
     let Some(budget_kbits) = budget_kbits else {
         return usage("--budget-kbits is required");
     };
-    if let Err(e) = harness.check_pairs() {
+    if let Err(e) = harness.finish_flags() {
         return usage(&e);
     }
     if resume && state.is_none() {
@@ -216,8 +216,10 @@ fn usage(err: &str) -> ExitCode {
                      [--state PATH] [--resume] [--frontier-out PATH]\n\
                      [shared flags]\n\
          space: name[:key=lo..hi[/step],key=a|b|c,key=value,...]\n\
-         {}",
-        cli::flags_usage(cli::TUNE_FLAGS)
+         {}\n\
+         this binary takes: {}",
+        cli::FLAG_HELP,
+        cli::TUNE_FLAGS.join(" ")
     );
     ExitCode::from(2)
 }

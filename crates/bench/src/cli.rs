@@ -15,7 +15,8 @@
 //! Each binary names the shared flags it honors, and
 //! [`Harness::parse_flag`] rejects any other shared flag as soon as it
 //! reads it, so no binary silently ignores one. After the last argument
-//! [`Harness::check_pairs`] rejects half a flag pair.
+//! [`Harness::finish_flags`] points the journal at a resumed file and
+//! rejects half a flag pair.
 
 use std::path::{Path, PathBuf};
 use std::time::Duration;
@@ -55,9 +56,9 @@ pub const CAMPAIGN_FLAGS: &[&str] = SWEEP_FLAGS.split_at(2).1;
 /// tuner writes no metrics document.
 pub const TUNE_FLAGS: &[&str] = SWEEP_FLAGS.split_at(3).1;
 
-/// Help for every shared flag under a heading: one entry per flag, its
-/// continuation lines indented further.
-const FLAG_HELP: &str = "shared flags:
+/// Help for every shared flag, for embedding in a binary's `usage:`
+/// message. A binary that takes fewer adds a line naming its list.
+pub const FLAG_HELP: &str = "shared flags:
   --threads N          worker threads (0 = all cores)
   --retries N          re-attempts per failed job
   --backoff MS         delay between retry attempts
@@ -82,26 +83,6 @@ const FLAG_HELP: &str = "shared flags:
   --progress           draw a live job-completion line on stderr
   --trace-cache | --no-trace-cache
                        force the content-addressed trace cache on/off";
-
-/// The help of the shared flags `supported` lists, for embedding in a
-/// binary's `usage:` message.
-pub fn flags_usage(supported: &[&str]) -> String {
-    let mut listed = true; // the heading
-    let mut usage = Vec::new();
-    for line in FLAG_HELP.lines() {
-        if let Some(flag) = line
-            .split_whitespace()
-            .next()
-            .filter(|f| f.starts_with("--"))
-        {
-            listed = supported.contains(&flag);
-        }
-        if listed {
-            usage.push(line);
-        }
-    }
-    usage.join("\n")
-}
 
 /// Everything an experiment binary takes from its environment and its
 /// shared flags: built once in `main` and passed down by reference.
@@ -150,8 +131,7 @@ impl Harness {
     /// is a shared flag. Returns `Ok(false)` for any other argument,
     /// which the binary handles itself, and `Err` with a user-facing
     /// message for a shared flag `supported` does not list or a missing
-    /// or malformed value. `--resume P` also journals to P unless
-    /// `--journal` names another file, before or after it.
+    /// or malformed value.
     pub fn parse_flag(
         &mut self,
         supported: &[&str],
@@ -203,15 +183,7 @@ impl Harness {
                 options.timeout = (ms > 0).then(|| Duration::from_millis(ms));
             }
             "--journal" => options.journal = Some(value(args, arg, "a path")?.into()),
-            "--resume" => {
-                let path = PathBuf::from(value(args, arg, "a journal path")?);
-                // The journal follows the resumed file until `--journal`
-                // names another.
-                if options.journal == options.resume_from {
-                    options.journal = Some(path.clone());
-                }
-                options.resume_from = Some(path);
-            }
+            "--resume" => options.resume_from = Some(value(args, arg, "a journal path")?.into()),
             "--checkpoint-every" => {
                 options.checkpoint_every = number(args, arg, "a record count")?;
             }
@@ -236,11 +208,17 @@ impl Harness {
         Ok(true)
     }
 
-    /// Rejects half a flag pair: a snapshot cadence without the
-    /// directory the snapshots go to, or a flight recorder without the
-    /// directory its dumps go to, would run and write nothing.
-    pub fn check_pairs(&self) -> Result<(), String> {
-        let options = &self.sweep;
+    /// Completes the shared flags after the last argument. `--resume P`
+    /// journals to P unless `--journal` named another file, before or
+    /// after it. Half a flag pair is an error: a snapshot cadence
+    /// without the directory the snapshots go to, or a flight recorder
+    /// without the directory its dumps go to, would run and write
+    /// nothing.
+    pub fn finish_flags(&mut self) -> Result<(), String> {
+        let options = &mut self.sweep;
+        if options.journal.is_none() {
+            options.journal.clone_from(&options.resume_from);
+        }
         if options.checkpoint_every > 0 && options.checkpoint_dir.is_none() {
             Err("--checkpoint-every needs --checkpoint-dir".to_owned())
         } else if options.flight_recorder > 0 && options.postmortem_dir.is_none() {
@@ -264,21 +242,26 @@ impl Harness {
 }
 
 /// The [`Harness`] of `run_all`, `calibrate` or a figure binary, from
-/// the environment and a command line of [`CAMPAIGN_FLAGS`] and the
-/// binary's own `switches`, each of which is set to whether it was
-/// given. Any other argument prints a usage error and exits 2.
-pub fn campaign(default_scale: f64, switches: &mut [(&str, &mut bool)]) -> Harness {
+/// the environment and a command line of the shared flags `supported`
+/// lists ([`CAMPAIGN_FLAGS`] for a binary that sweeps) and the binary's
+/// own `switches`, each of which is set to whether it was given. Any
+/// other argument prints a usage error and exits 2.
+pub fn campaign(
+    default_scale: f64,
+    supported: &[&str],
+    switches: &mut [(&str, &mut bool)],
+) -> Harness {
     let mut args = std::env::args();
     let bin = args.next().unwrap_or_default();
     let mut harness = Harness::from_env(default_scale);
-    if let Err(e) = parse_campaign(&mut harness, switches, &mut args) {
+    if let Err(e) = parse_campaign(&mut harness, supported, switches, &mut args) {
         let bin = Path::new(&bin).file_name().unwrap_or_default();
         let own: String = switches.iter().map(|(s, _)| format!(" [{s}]")).collect();
         eprintln!("error: {e}");
         eprintln!(
-            "usage: {}{own} [shared flags]\n{}",
+            "usage: {}{own} [shared flags]\n{FLAG_HELP}\nthis binary takes: {}",
             bin.to_string_lossy(),
-            flags_usage(CAMPAIGN_FLAGS)
+            supported.join(" ")
         );
         std::process::exit(2);
     }
@@ -287,11 +270,12 @@ pub fn campaign(default_scale: f64, switches: &mut [(&str, &mut bool)]) -> Harne
 
 fn parse_campaign(
     harness: &mut Harness,
+    supported: &[&str],
     switches: &mut [(&str, &mut bool)],
     args: &mut dyn Iterator<Item = String>,
 ) -> Result<(), String> {
     while let Some(arg) = args.next() {
-        if harness.parse_flag(CAMPAIGN_FLAGS, &arg, args)? {
+        if harness.parse_flag(supported, &arg, args)? {
             continue;
         }
         match switches.iter_mut().find(|(s, _)| *s == arg) {
@@ -299,7 +283,7 @@ fn parse_campaign(
             None => return Err(format!("unknown argument {arg:?}")),
         }
     }
-    harness.check_pairs()
+    harness.finish_flags()
 }
 
 #[cfg(test)]
@@ -327,12 +311,13 @@ mod tests {
         Ok(rest)
     }
 
-    /// `line` parsed as `sweep` would, into a harness with no variable
-    /// set.
+    /// `line` parsed and finished as `sweep` would, into a harness with
+    /// no variable set.
     fn parse(line: &str) -> Result<Harness, String> {
         let mut harness = unset();
         let rest = parse_into(&mut harness, SWEEP_FLAGS, line)?;
         assert!(rest.is_empty(), "{rest:?}");
+        harness.finish_flags()?;
         Ok(harness)
     }
 
@@ -387,6 +372,8 @@ mod tests {
             ("--resume r --journal j", "j"),
             ("--journal j --resume r", "j"),
             ("--resume q --resume r", "r"),
+            ("--resume q --journal q --resume r", "q"),
+            ("--journal q --resume q --resume r", "q"),
         ];
         for (line, journal) in rows {
             let options = parse(line).unwrap().sweep;
@@ -442,23 +429,25 @@ mod tests {
             ("--postmortem-dir p", Ok(())),
         ];
         for (line, expected) in rows {
-            let checked = parse(line).unwrap().check_pairs();
+            let checked = parse(line).map(|_| ());
             assert_eq!(checked, expected.map_err(str::to_owned), "{line}");
         }
     }
 
     #[test]
     fn campaigns_take_their_flags_and_switches_and_nothing_else() {
-        let campaign = |line: &str| {
+        let run = |supported: &[&str], line: &str| {
             let (mut harness, mut budget32) = (unset(), false);
             let mut args = line.split(' ').map(str::to_owned);
             parse_campaign(
                 &mut harness,
+                supported,
                 &mut [("--budget32", &mut budget32)],
                 &mut args,
             )
             .map(|()| (harness, budget32))
         };
+        let campaign = |line: &str| run(CAMPAIGN_FLAGS, line);
         let (harness, budget32) = campaign("--threads 2 --progress").unwrap();
         assert_eq!(
             (harness.sweep.threads, harness.sweep.progress, budget32),
@@ -477,17 +466,13 @@ mod tests {
             assert_eq!(campaign(line).unwrap_err(), error);
         }
         assert!(!TUNE_FLAGS.contains(&"--metrics") && CAMPAIGN_FLAGS.contains(&"--metrics"));
-    }
-
-    #[test]
-    fn usage_lists_exactly_the_supported_flags() {
-        for flag in SWEEP_FLAGS {
-            let usage = flags_usage(&[flag]);
-            assert_eq!(usage.matches("\n  --").count(), 1, "{usage}");
-            assert!(usage.contains(&format!("\n  {flag} ")), "{usage}");
-        }
-        let usage = flags_usage(&["--resume", "--progress"]);
-        assert!(usage.contains("every restored job") && !usage.contains("--threads"));
+        // A figure binary that runs no sweep takes only what it honors.
+        let fetches_only = ["--trace-cache"];
+        assert!(run(&fetches_only, "--no-trace-cache --budget32").is_ok());
+        assert_eq!(
+            run(&fetches_only, "--threads 8").unwrap_err(),
+            "--threads is not supported by this binary"
+        );
     }
 
     /// The setting named `name`, rendered (`-` for none).
